@@ -328,7 +328,7 @@ def explore_policy_loss(bundle: AgentBundle, batch: Batch,
     loss = awr_loss - hp.lambda_explore * bonus
 
     scale = hp.lambda_explore / n
-    _, d_next = bundle.v_net.backward(v_cache, np.full((n, 1), -scale * hp.gamma))
+    d_next = bundle.v_net.input_grad(v_cache, np.full((n, 1), -scale * hp.gamma))
     d_actions = pullback(d_next, np.full(n, -scale))
     d_u = d_actions * bundle.action_scale * (1.0 - tanh_u ** 2)
     clamp_mask = (raw > nn.LOG_STD_MIN) & (raw < nn.LOG_STD_MAX)
@@ -418,8 +418,7 @@ def cql_actor_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
         q_out, q_cache = bundle.q_net.forward_cache(np.hstack([states, actions]))
         bonus = float(np.mean(q_out[:, 0]))
         loss = awr - hp.lambda_explore * bonus
-        _, d_sa = bundle.q_net.backward(q_cache,
-                                        np.full((n, 1), -hp.lambda_explore / n))
+        d_sa = bundle.q_net.input_grad(q_cache, np.full((n, 1), -hp.lambda_explore / n))
         d_u = d_sa[:, states.shape[1]:] * bundle.action_scale * (1.0 - tanh_u ** 2)
         cot = cot + np.hstack([d_u, d_u * std * eps * clamp_mask])
     grads, _ = bundle.policy_net.backward(cache, cot)

@@ -303,15 +303,16 @@ def cmd_verify_theory(args) -> int:
         if name not in theory.SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from "
                               f"{', '.join(theory.SUITES)} or all")
-    rows = []
+    rows_by_suite = {}
     for name in names:
         count = trials if trials > 0 else theory.DEFAULT_TRIALS[name]
-        rows.extend(theory.SUITES[name](count, args.seed))
+        rows_by_suite[name] = theory.SUITES[name](count, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "theory.csv", THEORY_COLUMNS, rows)
+    write_csv(out / "theory.csv", THEORY_COLUMNS,
+              [row for rows in rows_by_suite.values() for row in rows])
     _log(out, f"verify-theory suite={suite} seed={args.seed}")
-    for name, rate in theory.summarize(rows).items():
+    for name, rate in theory.summarize(rows_by_suite).items():
         print(f"{name}: pass rate {rate:.3f}")
     return 0
 

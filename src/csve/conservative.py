@@ -164,9 +164,11 @@ def csve_fixed_point(policy: PolicyTable, empirical: TabularMdp,
     if tol <= 0:
         raise ValueError("tol must be positive")
     correction = penalty.alpha * penalty.bracket()
+    r_pi = policy_reward_vector(empirical, policy)
+    p_pi = policy_transition_matrix(empirical, policy)
     v = np.zeros(empirical.num_states)
     for iteration in range(max_iters):
-        nxt = empirical_bellman_backup(v, policy, empirical) - correction
+        nxt = r_pi + empirical.discount * (p_pi @ v) - correction
         if np.max(np.abs(nxt - v)) <= tol:
             return ValueTable(nxt), iteration + 1
         v = nxt

@@ -70,6 +70,8 @@ class EnsembleDynamicsModel:
         for m in members:
             if m.layer_sizes[-1] != 2 * target_dim:
                 raise InputError("member output width must be 2 * (state_dim + 1)")
+            if (m.layer_sizes, m.activation) != (members[0].layer_sizes, members[0].activation):
+                raise InputError("ensemble members must share layer sizes and activation")
 
     @property
     def num_members(self) -> int:
@@ -85,21 +87,47 @@ class EnsembleDynamicsModel:
         dim = self.state_dim + 1
         return out[..., :dim], nn.clamp_log_std(out[..., dim:])
 
+    @property
+    def _relu(self) -> bool:
+        return self.members[0].activation == "relu"
+
+    def _stacked_forward(self, x):
+        """All members over the same rows at once, one batched matmul per
+        layer; each member's slice comes from the same matrix product as its
+        own ``forward``.  Returns (outputs (B, n, out), layer inputs, stacked
+        weights), read fresh from the members on every call."""
+        params = [m.params for m in self.members]
+        weights, inputs, h = [], [], x
+        last = len(params[0]) // 2 - 1
+        for layer in range(last + 1):
+            inputs.append(h)
+            weights.append(np.stack([p[2 * layer] for p in params]))
+            h = h @ weights[-1]
+            h += np.stack([p[2 * layer + 1] for p in params])[:, None, :]
+            if layer < last:
+                if self._relu:
+                    np.maximum(h, 0.0, out=h)
+                else:
+                    np.tanh(h, out=h)
+        return h, inputs, weights
+
     def sample_next_batch(self, states, actions, rng: np.random.Generator):
         """One-step samples: each row picks a uniformly random member, samples
         its Gaussian and denormalizes.  Returns (next_states, rewards)."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         n = states.shape[0]
+        dim = self.state_dim + 1
         picks = rng.integers(self.num_members, size=n)
-        noise = rng.standard_normal((n, self.state_dim + 1))
-        out = np.empty((n, self.state_dim + 1))
-        for b in range(self.num_members):
+        noise = rng.standard_normal((n, dim))
+        x = self._inputs(states, actions)
+        out = np.empty((n, dim))
+        for b, member in enumerate(self.members):
             sel = picks == b
             if not np.any(sel):
                 continue
-            mean, log_std = self.member_gaussian(b, states[sel], actions[sel])
-            out[sel] = mean + np.exp(log_std) * noise[sel]
+            head = member.forward(x[sel])
+            out[sel] = head[:, :dim] + np.exp(nn.clamp_log_std(head[:, dim:])) * noise[sel]
         denorm = out * self.out_std + self.out_mean
         return states + denorm[:, :self.state_dim], denorm[:, self.state_dim]
 
@@ -126,12 +154,10 @@ class EnsembleDynamicsModel:
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         x = self._inputs(states, actions)
         dim = self.state_dim + 1
-        caches = []
+        out, inputs, weights = self._stacked_forward(x)
         acc = np.zeros((states.shape[0], dim))
-        for member in self.members:
-            out, cache = member.forward_cache(x)
-            acc += out[:, :dim]
-            caches.append(cache)
+        for member_out in out:
+            acc += member_out[:, :dim]
         denorm = acc / self.num_members * self.out_std + self.out_mean
         next_states = states + denorm[:, :self.state_dim]
         rewards = denorm[:, self.state_dim]
@@ -140,11 +166,15 @@ class EnsembleDynamicsModel:
             # cotangent on the normalized mean outputs, shared by all members
             cot_out = np.hstack([cot_next, cot_reward[:, None]])
             cot_mean = cot_out * self.out_std / self.num_members
-            cot_full = np.hstack([cot_mean, np.zeros_like(cot_mean)])
+            dz = np.hstack([cot_mean, np.zeros_like(cot_mean)])
+            for layer in range(len(weights) - 1, -1, -1):
+                if layer < len(weights) - 1:
+                    act = inputs[layer + 1]
+                    dz = dz * (act > 0.0) if self._relu else dz * (1.0 - act ** 2)
+                dz = dz @ weights[layer].transpose(0, 2, 1)
             grad_x = np.zeros_like(x)
-            for member, cache in zip(self.members, caches):
-                _, g = member.backward(cache, cot_full)
-                grad_x += g
+            for member_grad in dz:
+                grad_x += member_grad
             grad_action = grad_x[:, self.state_dim:] / self.in_std[self.state_dim:]
             return grad_action
 

@@ -70,65 +70,92 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.layer_sizes, [p.copy() for p in self.params], self.activation)
 
-    def _act(self, z):
-        if self.activation == "relu":
-            return np.maximum(z, 0.0)
-        return np.tanh(z)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, _ = self.forward_cache(x)
         return y
 
     def forward_cache(self, x: np.ndarray):
-        """Returns (output, cache); accepts (batch, n_in) or (n_in,)."""
+        """Returns (output, cache); accepts (batch, n_in) or (n_in,).
+
+        The cache holds each layer's input.  A hidden activation is applied
+        in place to its pre-activation, and the backward pass reads the
+        activation's derivative off the next layer's input (relu(z) > 0
+        exactly when z > 0, and 1 - tanh(z)^2 from tanh(z) itself).
+        """
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x[None, :] if squeeze else x
         if h.shape[1] != self.layer_sizes[0]:
             raise InputError(f"input width {h.shape[1]} != {self.layer_sizes[0]}")
-        inputs, preacts = [], []
-        for i in range(self.num_layers):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
+        params, last = self.params, self.num_layers - 1
+        relu = self.activation == "relu"
+        inputs = []
+        for i in range(last + 1):
             inputs.append(h)
-            z = h @ w + b
-            preacts.append(z)
-            h = self._act(z) if i < self.num_layers - 1 else z
+            h = h @ params[2 * i]
+            h += params[2 * i + 1]
+            if i < last:
+                if relu:
+                    np.maximum(h, 0.0, out=h)
+                else:
+                    np.tanh(h, out=h)
         out = h[0] if squeeze else h
-        return out, (inputs, preacts, squeeze)
+        return out, (inputs, squeeze)
 
     def backward(self, cache, cotangent: np.ndarray):
         """Gradients of <output, cotangent> for every parameter and the input."""
-        inputs, preacts, squeeze = cache
+        return self._backward(cache, cotangent, with_params=True)
+
+    def input_grad(self, cache, cotangent: np.ndarray) -> np.ndarray:
+        """Gradient of <output, cotangent> for the input alone: the input
+        gradient of :meth:`backward`, without forming the parameter ones."""
+        return self._backward(cache, cotangent, with_params=False)[1]
+
+    def _backward(self, cache, cotangent, with_params: bool):
+        inputs, squeeze = cache
         dz = np.asarray(cotangent, dtype=np.float64)
         if squeeze:
             dz = dz[None, :]
-        grads = [None] * len(self.params)
-        for i in reversed(range(self.num_layers)):
-            if i < self.num_layers - 1:
-                z = preacts[i]
-                if self.activation == "relu":
-                    dz = dz * (z > 0.0)
-                else:
-                    dz = dz * (1.0 - np.tanh(z) ** 2)
-            grads[2 * i] = inputs[i].T @ dz
-            grads[2 * i + 1] = dz.sum(axis=0)
-            dz = dz @ self.params[2 * i].T
+        params, last = self.params, self.num_layers - 1
+        relu = self.activation == "relu"
+        grads = [None] * len(params) if with_params else None
+        for i in range(last, -1, -1):
+            if i < last:  # dz is this pass's own array here: scale it in place
+                act = inputs[i + 1]
+                dz *= (act > 0.0) if relu else 1.0 - act ** 2
+            if with_params:
+                grads[2 * i] = inputs[i].T @ dz
+                grads[2 * i + 1] = dz.sum(axis=0)
+            dz = dz @ params[2 * i].T
         input_grad = dz[0] if squeeze else dz
         return grads, input_grad
-
-
-def zeros_like_params(params):
-    return [np.zeros_like(p) for p in params]
 
 
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
+def _flatten(arrays) -> np.ndarray:
+    return np.concatenate(arrays, axis=None)
+
+
+def _unflatten(flat: np.ndarray, like) -> list:
+    """Views into ``flat`` with the shapes of ``like``, in order."""
+    out, start = [], 0
+    for p in like:
+        out.append(flat[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return out
+
+
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Moments are flat vectors over all parameters in list order, so one
+    update is a handful of whole-vector operations; each element sees the
+    same arithmetic as a per-array update."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int
     lr: float
     beta1: float = 0.9
@@ -137,32 +164,34 @@ class AdamState:
 
 
 def adam_init(params, lr: float) -> AdamState:
-    return AdamState(m=zeros_like_params(params), v=zeros_like_params(params), step=0, lr=lr)
+    size = sum(np.size(p) for p in params)
+    return AdamState(m=np.zeros(size), v=np.zeros(size), step=0, lr=lr)
 
 
 def adam_step(state: AdamState, params, grads):
     """One bias-corrected Adam update; returns (new_params, new_state)."""
     if len(grads) != len(params):
         raise InputError("gradient list does not match parameter list")
-    step = state.step + 1
-    new_m, new_v, new_params = [], [], []
-    b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise InputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** step)
-        v_hat = v / (1.0 - b2 ** step)
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(new_m, new_v, step, state.lr, b1, b2, state.eps)
+    g = _flatten(grads)
+    if g.size != state.m.size:
+        raise InputError("optimizer state does not match the parameter list")
+    step = state.step + 1
+    b1, b2 = state.beta1, state.beta2
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** step)
+    v_hat = v / (1.0 - b2 ** step)
+    new = _flatten(params) - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return _unflatten(new, params), AdamState(m, v, step, state.lr, b1, b2, state.eps)
 
 
 def polyak_update(target_params, source_params, omega: float):
     """target <- (1 - omega) * target + omega * source, per parameter."""
-    return [(1.0 - omega) * t + omega * s for t, s in zip(target_params, source_params)]
+    blended = (1.0 - omega) * _flatten(target_params) + omega * _flatten(source_params)
+    return _unflatten(blended, target_params)
 
 
 # ---------------------------------------------------------------------------

@@ -254,9 +254,15 @@ class TabularDataset:
             or a.min() < 0 or a.max() >= num_actions
         ):
             raise InputError("transition indices out of range")
+        return cls.from_arrays(s, a, np.asarray(r, dtype=np.float64), sn, num_states, num_actions)
+
+    @classmethod
+    def from_arrays(cls, states, actions, rewards, next_states, num_states: int,
+                    num_actions: int) -> "TabularDataset":
+        """Build a dataset from in-range transition arrays, counting each pair."""
         count_sa = np.zeros((num_states, num_actions), dtype=np.int64)
-        np.add.at(count_sa, (s, a), 1)
-        return cls(s, a, np.asarray(r, dtype=np.float64), sn, count_sa, count_sa.sum(axis=1))
+        np.add.at(count_sa, (states, actions), 1)
+        return cls(states, actions, rewards, next_states, count_sa, count_sa.sum(axis=1))
 
     @property
     def num_transitions(self) -> int:
@@ -305,16 +311,13 @@ def discounted_state_occupancy(mdp: TabularMdp, policy: PolicyTable) -> StateDis
     return StateDistribution(occ / total, kind="discounted_occupancy")
 
 
-def empirical_mdp(dataset: TabularDataset, template: TabularMdp,
-                  fallback: SamplingErrorModel | None = None) -> TabularMdp:
+def empirical_mdp(dataset: TabularDataset, template: TabularMdp) -> TabularMdp:
     """Estimate rewards and transitions from dataset frequencies.
 
     Pairs never visited get a uniform next-state distribution and zero
     reward, which keeps the estimate a valid MDP; the conservative penalty
-    machinery (not estimate accuracy) is what handles those pairs, and
-    ``fallback`` only matters there.
+    machinery (not estimate accuracy) is what handles those pairs.
     """
-    del fallback  # unvisited pairs are handled by the uniform/zero convention
     s_dim, a_dim = template.num_states, template.num_actions
     if dataset.count_sa.shape != (s_dim, a_dim):
         raise InputError("dataset dimensions disagree with the template MDP")
@@ -402,21 +405,36 @@ def random_distribution(num_states: int, rng: np.random.Generator,
     return StateDistribution(probs)
 
 
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of each row of ``probs`` (last axis), with the
+    arithmetic of ``Generator.choice(p=row)``: ``cumsum``, then division by
+    the last entry.
+
+    ``choice`` draws one ``random()`` double u and returns the number of
+    entries with cdf <= u (``searchsorted(side="right")``).  Counting the same
+    way over these rows, with u taken from the same stream, reproduces its
+    draws exactly.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
 def sample_dataset(mdp: TabularMdp, behavior: PolicyTable, size: int,
                    rng: np.random.Generator,
                    state_dist: np.ndarray | None = None) -> TabularDataset:
     """Draw (s, a, r, s') i.i.d.: s from state_dist (uniform by default),
-    a ~ behavior, s' ~ P, r = r(s,a)."""
+    a ~ behavior, s' ~ P, r = r(s,a).
+
+    After the states, each transition takes two doubles from ``rng``, the
+    action's and then the next state's, as one ``rng.choice`` call each would.
+    """
     s_dim, a_dim = mdp.num_states, mdp.num_actions
     if state_dist is None:
         state_dist = np.full(s_dim, 1.0 / s_dim)
     states = rng.choice(s_dim, size=size, p=state_dist)
-    actions = np.empty(size, dtype=np.int64)
-    next_states = np.empty(size, dtype=np.int64)
-    for i, s in enumerate(states):
-        a = rng.choice(a_dim, p=behavior.probs[s])
-        actions[i] = a
-        next_states[i] = rng.choice(s_dim, p=mdp.transition[s, a])
-    rewards = mdp.reward[states, actions]
-    rows = zip(states.tolist(), actions.tolist(), rewards.tolist(), next_states.tolist())
-    return TabularDataset.from_transitions(rows, s_dim, a_dim)
+    u = rng.random((size, 2))
+    actions = np.count_nonzero(choice_cdf(behavior.probs)[states] <= u[:, :1], axis=1)
+    next_cdf = choice_cdf(mdp.transition)[states, actions]
+    next_states = np.count_nonzero(next_cdf <= u[:, 1:], axis=1)
+    return TabularDataset.from_arrays(states, actions, mdp.reward[states, actions],
+                                      next_states, s_dim, a_dim)

@@ -14,6 +14,7 @@ and which an adversarial d can violate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,8 +134,8 @@ def run_contraction_trials(trials: int, seed0: int = 0, max_states: int = 20,
 
 
 def run_operator_equivalence_trials(trials: int, seed0: int = 0) -> list[dict]:
-    """Penalized-objective argmin (golden-section route) against the closed-form
-    iterate."""
+    """Penalized-objective argmin (grid bracket plus parabolic vertex fit)
+    against the closed-form iterate."""
     rows = []
     for i in range(trials):
         seed = seed0 + i
@@ -276,17 +277,32 @@ def run_safe_improvement_trials(trials: int, seed0: int = 0,
 
 def _rollout_tabular_dataset(env, mdp: tab.TabularMdp, behavior: tab.PolicyTable,
                              size: int, rng: np.random.Generator) -> tab.TabularDataset:
-    """Trajectory dataset on the exact tabular chain under the behavior table."""
-    transitions = []
-    state = int(rng.choice(mdp.num_states, p=mdp.initial_dist))
+    """Trajectory dataset on the exact tabular chain under the behavior table.
+
+    Each categorical draw is one ``rng.random()`` looked up in a
+    ``tab.choice_cdf`` table, the draw ``rng.choice(p=row)`` would make.
+    Reaching the goal resets without the 0.02 reset draw.
+    """
+    initial_cdf = tab.choice_cdf(mdp.initial_dist).tolist()
+    action_cdf = tab.choice_cdf(behavior.probs).tolist()
+    next_cdf = tab.choice_cdf(mdp.transition).tolist()
+    terminal = [env.is_terminal_index(s) for s in range(mdp.num_states)]
+    states, actions, next_states = [], [], []
+    state = bisect_right(initial_cdf, rng.random())
     for _ in range(size):
-        action = int(rng.choice(mdp.num_actions, p=behavior.probs[state]))
-        nxt = int(rng.choice(mdp.num_states, p=mdp.transition[state, action]))
-        transitions.append((state, action, float(mdp.reward[state, action]), nxt))
+        action = bisect_right(action_cdf[state], rng.random())
+        nxt = bisect_right(next_cdf[state][action], rng.random())
+        states.append(state)
+        actions.append(action)
+        next_states.append(nxt)
         state = nxt
-        if env.is_terminal_index(state) or rng.random() < 0.02:
-            state = int(rng.choice(mdp.num_states, p=mdp.initial_dist))
-    return tab.TabularDataset.from_transitions(transitions, mdp.num_states, mdp.num_actions)
+        if terminal[state] or rng.random() < 0.02:
+            state = bisect_right(initial_cdf, rng.random())
+    s = np.array(states, dtype=np.int64)
+    a = np.array(actions, dtype=np.int64)
+    return tab.TabularDataset.from_arrays(s, a, mdp.reward[s, a],
+                                          np.array(next_states, dtype=np.int64),
+                                          mdp.num_states, mdp.num_actions)
 
 
 def run_interpolation_trials(trials: int, seed0: int = 0,
@@ -332,9 +348,8 @@ DEFAULT_TRIALS = {
 }
 
 
-def summarize(rows: list[dict]) -> dict[str, float]:
-    """Pass rate per theorem id."""
-    per: dict[str, list[bool]] = {}
-    for row in rows:
-        per.setdefault(row["theorem"], []).append(bool(row["holds"]))
-    return {name: sum(flags) / len(flags) for name, flags in sorted(per.items())}
+def summarize(rows_by_suite: dict[str, list[dict]]) -> dict[str, float]:
+    """Pass rate per suite over that suite's own rows.  Keyed by suite, not by
+    theorem id, because two suites write the same id."""
+    return {name: sum(bool(row["holds"]) for row in rows) / len(rows)
+            for name, rows in sorted(rows_by_suite.items())}

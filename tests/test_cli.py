@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csve import cli
+from csve import cli, theory
 
 
 def run(argv):
@@ -221,6 +221,15 @@ def test_verify_theory_multi_suite(tmp_path):
                 "--seed", 7, "--out", out]) == 0
     lines = read_lines(out / "theory.csv")
     assert len(lines) == 2 + 50 * 5  # five interpolation factors per pair
+
+
+def test_verify_theory_prints_one_rate_per_suite(tmp_path, capsys):
+    assert run(["verify-theory", "--suite", "all", "--trials", 2,
+                "--seed", 0, "--out", tmp_path / "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split(": pass rate ")[0] for line in lines]
+    assert sorted(names) == sorted(theory.SUITES)
+    assert len(lines) == len(theory.SUITES)
 
 
 # ---------------------------------------------------------------------------

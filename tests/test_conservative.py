@@ -215,6 +215,29 @@ def test_fixed_point_iteration_bound_and_decay():
         assert err <= mdp.discount ** k * err0 + tol
 
 
+def test_fixed_point_matches_backup_iteration_exactly():
+    """Hoisting r_pi and P_pi out of the loop keeps every iterate and the count."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        mdp = tab.random_mdp(7, 3, 0.9, rng)
+        policy = tab.random_policy(7, 3, rng)
+        d_u = tab.StateDistribution(rng.dirichlet(np.ones(7)))
+        d = tab.random_distribution(7, rng, support=d_u.support)
+        penalty = cons.CsvePenaltyConfig(2.3, d, d_u)
+        v_hat, iters = cons.csve_fixed_point(policy, mdp, penalty, tol=1e-10)
+
+        correction = penalty.alpha * penalty.bracket()
+        v = np.zeros(7)
+        for count in range(1, iters + 1):
+            nxt = cons.empirical_bellman_backup(v, policy, mdp) - correction
+            done = np.max(np.abs(nxt - v)) <= 1e-10
+            v = nxt
+            if done:
+                break
+        assert count == iters and done
+        assert np.array_equal(v, v_hat.values)
+
+
 # ---------------------------------------------------------------------------
 # Contraction and structural properties
 # ---------------------------------------------------------------------------

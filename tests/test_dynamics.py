@@ -208,6 +208,62 @@ def test_action_gradient_pullback_matches_finite_differences(trained_linear):
             assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
+def random_ensemble(rng, num_members=3, state_dim=2, action_dim=1, hidden=(16, 8)):
+    sizes = [state_dim + action_dim, *hidden, 2 * (state_dim + 1)]
+    return dynamics.EnsembleDynamicsModel(
+        [nn.Mlp.init(sizes, rng) for _ in range(num_members)],
+        rng.normal(size=state_dim + action_dim), rng.uniform(0.5, 2.0, size=state_dim + action_dim),
+        rng.normal(size=state_dim + 1), rng.uniform(0.5, 2.0, size=state_dim + 1),
+        state_dim, action_dim)
+
+
+def test_ensemble_passes_match_member_by_member_reference_exactly():
+    """The batched member passes give the bits of one pass per member."""
+    rng = np.random.default_rng(4)
+    model = random_ensemble(rng)
+    states, actions = rng.normal(size=(30, 2)), rng.normal(size=(30, 1))
+    x = (np.hstack([states, actions]) - model.in_mean) / model.in_std
+    acc, caches = np.zeros((30, 3)), []
+    for member in model.members:
+        out, cache = member.forward_cache(x)
+        acc += out[:, :3]
+        caches.append(cache)
+    denorm = acc / 3 * model.out_std + model.out_mean
+    cot_next, cot_rew = rng.normal(size=(30, 2)), rng.normal(size=30)
+    cot_mean = np.hstack([cot_next, cot_rew[:, None]]) * model.out_std / 3
+    grad_x = np.zeros_like(x)
+    for member, cache in zip(model.members, caches):
+        grad_x += member.backward(cache, np.hstack([cot_mean, np.zeros_like(cot_mean)]))[1]
+
+    nxt, rew, pullback = model.mean_prediction_with_action_grad(states, actions)
+    assert np.array_equal(nxt, states + denorm[:, :2])
+    assert np.array_equal(rew, denorm[:, 2])
+    assert np.array_equal(pullback(cot_next, cot_rew), grad_x[:, 2:] / model.in_std[2:])
+    mean_next, mean_rew = model.mean_prediction(states, actions)
+    assert np.array_equal(mean_next, nxt) and np.array_equal(mean_rew, rew)
+
+    draw, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+    got_next, got_rew = model.sample_next_batch(states, actions, draw)
+    picks = want_rng.integers(3, size=30)
+    noise = want_rng.standard_normal((30, 3))
+    sample = np.empty((30, 3))
+    for b in range(3):
+        sel = picks == b
+        mean, log_std = model.member_gaussian(b, states[sel], actions[sel])
+        sample[sel] = mean + np.exp(log_std) * noise[sel]
+    sample = sample * model.out_std + model.out_mean
+    assert np.array_equal(got_next, states + sample[:, :2])
+    assert np.array_equal(got_rew, sample[:, 2])
+
+
+def test_members_of_different_shapes_rejected():
+    rng = np.random.default_rng(0)
+    members = [nn.Mlp.init([3, 8, 6], rng), nn.Mlp.init([3, 4, 6], rng)]
+    with pytest.raises(InputError):
+        dynamics.EnsembleDynamicsModel(members, np.zeros(3), np.ones(3), np.zeros(3),
+                                       np.ones(3), 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------

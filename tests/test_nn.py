@@ -120,6 +120,49 @@ def test_backward_matches_finite_differences(activation):
     assert np.max(np.abs(g - input_grad)) < 1e-5
 
 
+def reference_pass(mlp, x, cot):
+    """Forward keeping every pre-activation, backward masking with them."""
+    act = (lambda z: np.maximum(z, 0.0)) if mlp.activation == "relu" else np.tanh
+    inputs, preacts, h = [], [], x
+    for i in range(mlp.num_layers):
+        inputs.append(h)
+        preacts.append(h @ mlp.params[2 * i] + mlp.params[2 * i + 1])
+        h = act(preacts[-1]) if i < mlp.num_layers - 1 else preacts[-1]
+    grads, dz = [None] * len(mlp.params), cot
+    for i in reversed(range(mlp.num_layers)):
+        if i < mlp.num_layers - 1:
+            z = preacts[i]
+            dz = dz * ((z > 0.0) if mlp.activation == "relu" else 1.0 - np.tanh(z) ** 2)
+        grads[2 * i] = inputs[i].T @ dz
+        grads[2 * i + 1] = dz.sum(axis=0)
+        dz = dz @ mlp.params[2 * i].T
+    return h, grads, dz
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_forward_and_backward_match_preactivation_reference_exactly(activation):
+    rng = np.random.default_rng(21)
+    mlp = nn.Mlp.init([3, 16, 8, 2], rng, activation=activation)
+    mlp.params = [p + rng.normal(size=p.shape) if p.ndim == 1 else p for p in mlp.params]
+    x = rng.normal(size=(40, 3))
+    x_before = x.copy()
+    cot = rng.normal(size=(40, 2))
+    out, cache = mlp.forward_cache(x)
+    grads, input_grad = mlp.backward(cache, cot)
+    want_out, want_grads, want_input = reference_pass(mlp, x, cot)
+    assert np.array_equal(out, want_out)
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+    assert np.array_equal(input_grad, want_input)
+    assert np.array_equal(mlp.input_grad(cache, cot), want_input)
+    assert np.array_equal(x, x_before)
+    # an unbatched row is a batch of one (not row 0 of a larger product,
+    # which BLAS may sum in another order)
+    row_out, row_cache = mlp.forward_cache(x[0])
+    row_want, _, row_input = reference_pass(mlp, x[:1], cot[:1])
+    assert np.array_equal(row_out, row_want[0])
+    assert np.array_equal(mlp.input_grad(row_cache, cot[0]), row_input[0])
+
+
 def test_gradcheck_on_agent_network_shapes():
     rng = np.random.default_rng(9)
     shapes = [[4, 8, 8, 1], [6, 8, 8, 1], [4, 8, 8, 4], [5, 16, 10], [2, 4, 4, 2]]
@@ -183,6 +226,33 @@ def test_adam_three_step_hand_trace():
     for t in range(3):
         params, state = nn.adam_step(state, params, [g])
         assert np.max(np.abs(params[0] - expected[t])) < 1e-12
+
+
+def test_adam_and_polyak_match_per_array_updates_exactly():
+    rng = np.random.default_rng(5)
+    shapes = [(3, 2), (2,), (2, 4), (4,)]
+    params = [rng.normal(size=s) for s in shapes]
+    target = [rng.normal(size=s) for s in shapes]
+    state = nn.adam_init(params, lr=0.03)
+    want = [p.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        params, state = nn.adam_step(state, params, grads)
+        for k, g in enumerate(grads):
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+            want[k] = want[k] - 0.03 * (m[k] / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
+        assert all(np.array_equal(p, w) for p, w in zip(params, want))
+        assert np.array_equal(state.m, np.concatenate([x.ravel() for x in m]))
+        assert np.array_equal(state.v, np.concatenate([x.ravel() for x in v]))
+        blended = nn.polyak_update(target, params, 0.005)
+        assert all(np.array_equal(b, (1.0 - 0.005) * t_ + 0.005 * p)
+                   for b, t_, p in zip(blended, target, params))
+    with pytest.raises(InputError):
+        nn.adam_step(nn.adam_init(params[:2], lr=0.1), params, grads)
 
 
 def test_polyak_closed_form_blend():

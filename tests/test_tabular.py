@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from csve import tabular as tab
+from csve import theory
+from csve.envs import GridWorld
 from csve.errors import InputError
 
 
@@ -207,6 +209,96 @@ def test_empirical_transition_concentration():
     bound = sem.c_p / np.sqrt(np.maximum(ds.count_sa, 1))
     coverage = np.mean(l1[visited] <= bound[visited])
     assert coverage >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# Samplers against the per-draw rng.choice loops they replace
+# ---------------------------------------------------------------------------
+
+def reference_sample_dataset(mdp, behavior, size, rng, state_dist=None):
+    """Two rng.choice calls per transition, in a Python loop."""
+    s_dim, a_dim = mdp.num_states, mdp.num_actions
+    if state_dist is None:
+        state_dist = np.full(s_dim, 1.0 / s_dim)
+    states = rng.choice(s_dim, size=size, p=state_dist)
+    actions = np.empty(size, dtype=np.int64)
+    next_states = np.empty(size, dtype=np.int64)
+    for i, s in enumerate(states):
+        actions[i] = rng.choice(a_dim, p=behavior.probs[s])
+        next_states[i] = rng.choice(s_dim, p=mdp.transition[s, actions[i]])
+    rewards = mdp.reward[states, actions]
+    rows = zip(states.tolist(), actions.tolist(), rewards.tolist(), next_states.tolist())
+    return tab.TabularDataset.from_transitions(rows, s_dim, a_dim)
+
+
+def reference_rollout(env, mdp, behavior, size, rng):
+    """Trajectory rollout with one rng.choice call per categorical draw."""
+    transitions = []
+    state = int(rng.choice(mdp.num_states, p=mdp.initial_dist))
+    for _ in range(size):
+        action = int(rng.choice(mdp.num_actions, p=behavior.probs[state]))
+        nxt = int(rng.choice(mdp.num_states, p=mdp.transition[state, action]))
+        transitions.append((state, action, float(mdp.reward[state, action]), nxt))
+        state = nxt
+        if env.is_terminal_index(state) or rng.random() < 0.02:
+            state = int(rng.choice(mdp.num_states, p=mdp.initial_dist))
+    return tab.TabularDataset.from_transitions(transitions, mdp.num_states, mdp.num_actions)
+
+
+def assert_same_dataset(got, want):
+    for name in ("states", "actions", "rewards", "next_states", "count_sa", "count_s"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def sparse_rows(rng, shape):
+    """Dirichlet rows with about a third of the entries zeroed, entry 0
+    always among them when the row is long enough."""
+    probs = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    if shape[-1] > 1:
+        zero = rng.random(probs.shape) < 0.35
+        zero[..., 0] = True
+        zero[..., -1] = False  # keep each row's mass nonzero
+        probs[zero] = 0.0
+        probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+@pytest.mark.parametrize("num_actions", [1, 3])
+@pytest.mark.parametrize("size", [0, 1, 400])
+def test_sample_dataset_matches_choice_loop(num_actions, size):
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        s_dim = 7
+        mdp = tab.TabularMdp(sparse_rows(rng, (s_dim, num_actions, s_dim)),
+                             rng.uniform(-1.0, 1.0, size=(s_dim, num_actions)),
+                             rng.dirichlet(np.ones(s_dim)), 0.9, 1.0)
+        behavior = tab.PolicyTable(sparse_rows(rng, (s_dim, num_actions)))
+        state_dist = None if seed % 2 else sparse_rows(rng, (s_dim,))
+        assert behavior.probs[:, 0].max() == (1.0 if num_actions == 1 else 0.0)
+        assert mdp.transition[..., 0].max() == 0.0
+
+        fast_rng, slow_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        got = tab.sample_dataset(mdp, behavior, size, fast_rng, state_dist)
+        want = reference_sample_dataset(mdp, behavior, size, slow_rng, state_dist)
+        assert got.num_transitions == size
+        assert_same_dataset(got, want)
+        assert fast_rng.random() == slow_rng.random()
+
+
+@pytest.mark.parametrize("slip", [0.05, 0.2])
+def test_rollout_dataset_matches_choice_loop(slip):
+    env = GridWorld(slip=slip)
+    mdp = env.tabular_mdp(discount=0.95)
+    behavior = env.epsilon_greedy_table(mdp, epsilon=0.4)
+    for seed in range(3):
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = theory._rollout_tabular_dataset(env, mdp, behavior, 1500, fast_rng)
+        want = reference_rollout(env, mdp, behavior, 1500, slow_rng)
+        assert np.any(want.next_states == env.goal_index)  # the goal reset ran
+        assert_same_dataset(got, want)
+        assert fast_rng.random() == slow_rng.random()
 
 
 # ---------------------------------------------------------------------------

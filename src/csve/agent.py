@@ -132,7 +132,11 @@ def init_bundle(state_dim: int, action_dim: int, action_scale, hp: CsveHyperPara
 
 
 def policy_distribution(bundle: AgentBundle, states: np.ndarray):
-    """Mean, clamped log-std, raw pre-clamp output and the forward cache."""
+    """Mean, clamped log-std, raw pre-clamp output and the forward cache.
+
+    The losses take this as ``dist`` so that one training step, which
+    updates the policy only at its end, runs the policy on the batch once;
+    a loss called without it runs its own pass."""
     out, cache = bundle.policy_net.forward_cache(states)
     adim = out.shape[-1] // 2
     mean, raw = out[..., :adim], out[..., adim:]
@@ -168,11 +172,11 @@ class VLossResult(NamedTuple):
 
 def _v_loss_impl(bundle: AgentBundle, batch: Batch, model, hp: CsveHyperParams,
                  rng: np.random.Generator, penalty_active: bool,
-                 noise_variant: bool) -> VLossResult:
+                 noise_variant: bool, dist=None) -> VLossResult:
     states = batch.states
     n = states.shape[0]
     adim = bundle.action_scale.shape[0]
-    mean, log_std, _, _ = policy_distribution(bundle, states)
+    mean, log_std, _, _ = dist or policy_distribution(bundle, states)
     noise = rng.standard_normal((n, hp.n_action_samples, adim))
     acts = _sample_policy_actions(bundle, mean, log_std, noise)
     sa = np.hstack([np.repeat(states, hp.n_action_samples, axis=0),
@@ -271,13 +275,17 @@ class PolicyLossResult(NamedTuple):
     grads: list
 
 
-def _awr_cotangent(bundle, batch, hp, mean, log_std, raw):
-    """AWR loss value and the cotangent on the policy head outputs."""
+def _critic_advantage(bundle, batch):
+    """Q(s, a) - V(s) on the batch, a constant for the actor."""
+    q = bundle.q_net.forward(np.hstack([batch.states, batch.actions]))[:, 0]
+    return q - bundle.v_net.forward(batch.states)[:, 0]
+
+
+def _awr_cotangent(bundle, batch, hp, dist, advantage):
+    """AWR loss value and the cotangent on the policy head outputs for
+    weights exp(beta * advantage), capped at ``hp.weight_clip``."""
+    mean, log_std, raw, _ = dist
     n = len(batch.states)
-    sa = np.hstack([batch.states, batch.actions])
-    q = bundle.q_net.forward(sa)[:, 0]
-    v = bundle.v_net.forward(batch.states)[:, 0]
-    advantage = q - v
     weights = np.exp(np.minimum(hp.beta_awr * advantage, np.log(hp.weight_clip)))
     log_prob = nn.squashed_gaussian_log_prob(mean, log_std, batch.actions,
                                              bundle.action_scale)
@@ -285,41 +293,48 @@ def _awr_cotangent(bundle, batch, hp, mean, log_std, raw):
     u = nn.presquash_actions(batch.actions, bundle.action_scale)
     d_mean, d_log_std = nn.gaussian_log_prob_grads(mean, log_std, u)
     coeff = (-weights / n)[:, None]
-    clamp_mask = (raw > nn.LOG_STD_MIN) & (raw < nn.LOG_STD_MAX)
-    return loss, np.hstack([coeff * d_mean, coeff * d_log_std * clamp_mask])
+    return loss, np.hstack([coeff * d_mean,
+                            coeff * d_log_std * nn.clamp_log_std_mask(raw)])
+
+
+def _reparam_cotangent(dist, eps, d_u):
+    """Cotangent on the policy head outputs from d_u on u = mean + std * eps."""
+    _, log_std, raw, _ = dist
+    return np.hstack([d_u, d_u * np.exp(log_std) * eps * nn.clamp_log_std_mask(raw)])
 
 
 def awr_policy_loss(bundle: AgentBundle, batch: Batch,
-                    hp: CsveHyperParams) -> PolicyLossResult:
+                    hp: CsveHyperParams, dist=None) -> PolicyLossResult:
     """Advantage weighted regression: -E[exp(beta * (Q - V)) * log pi(a|s)]
     with the advantage treated as a constant and weights capped at
     ``hp.weight_clip``.  Gradients reach the policy network only."""
-    mean, log_std, raw, cache = policy_distribution(bundle, batch.states)
-    loss, cot = _awr_cotangent(bundle, batch, hp, mean, log_std, raw)
-    grads, _ = bundle.policy_net.backward(cache, cot)
+    dist = dist or policy_distribution(bundle, batch.states)
+    loss, cot = _awr_cotangent(bundle, batch, hp, dist, _critic_advantage(bundle, batch))
+    grads, _ = bundle.policy_net.backward(dist[3], cot)
     return PolicyLossResult(_check_finite(loss, "policy loss"), loss, grads)
 
 
 def explore_policy_loss(bundle: AgentBundle, batch: Batch,
                         model: EnsembleDynamicsModel, hp: CsveHyperParams,
-                        rng: np.random.Generator) -> PolicyLossResult:
+                        rng: np.random.Generator, dist=None) -> PolicyLossResult:
     """AWR loss minus lambda * E[r(s,a) + gamma * V(s')] for reparameterized
     a ~ pi and the model's deterministic mean prediction of (s', r).  The
     bonus gradient reaches the policy through the sampled action only; the
     model and V network stay frozen.  lambda = 0 reduces exactly to
     :func:`awr_policy_loss` (no extra randomness is consumed)."""
     if hp.lambda_explore == 0.0:
-        return awr_policy_loss(bundle, batch, hp)
+        return awr_policy_loss(bundle, batch, hp, dist)
     if model is None:
         raise InputError("the exploration bonus needs a trained dynamics model")
     states = batch.states
     n = states.shape[0]
-    mean, log_std, raw, cache = policy_distribution(bundle, states)
-    awr_loss, cot = _awr_cotangent(bundle, batch, hp, mean, log_std, raw)
+    dist = dist or policy_distribution(bundle, states)
+    mean, log_std, _, cache = dist
+    awr_loss, cot = _awr_cotangent(bundle, batch, hp, dist,
+                                   _critic_advantage(bundle, batch))
 
     eps = rng.standard_normal(mean.shape)
-    std = np.exp(log_std)
-    u = mean + std * eps
+    u = mean + np.exp(log_std) * eps
     tanh_u = np.tanh(u)
     actions = bundle.action_scale * tanh_u
     next_states, rewards, pullback = model.mean_prediction_with_action_grad(states, actions)
@@ -331,9 +346,7 @@ def explore_policy_loss(bundle: AgentBundle, batch: Batch,
     d_next = bundle.v_net.input_grad(v_cache, np.full((n, 1), -scale * hp.gamma))
     d_actions = pullback(d_next, np.full(n, -scale))
     d_u = d_actions * bundle.action_scale * (1.0 - tanh_u ** 2)
-    clamp_mask = (raw > nn.LOG_STD_MIN) & (raw < nn.LOG_STD_MAX)
-    bonus_cot = np.hstack([d_u, d_u * std * eps * clamp_mask])
-    grads, _ = bundle.policy_net.backward(cache, cot + bonus_cot)
+    grads, _ = bundle.policy_net.backward(cache, cot + _reparam_cotangent(dist, eps, d_u))
     return PolicyLossResult(_check_finite(loss, "policy loss"), awr_loss, grads)
 
 
@@ -342,7 +355,7 @@ def explore_policy_loss(bundle: AgentBundle, batch: Batch,
 # ---------------------------------------------------------------------------
 
 def cql_critic_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
-                    rng: np.random.Generator):
+                    rng: np.random.Generator, dist=None):
     """Action-penalized Q objective: alpha * (E_{a~pi}[Q] - E_{a~data}[Q]) plus
     half the TD error against r + gamma * E_{a'~pi}[Q_target(s', a')]."""
     states = batch.states
@@ -350,7 +363,7 @@ def cql_critic_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
     adim = bundle.action_scale.shape[0]
     k = hp.n_action_samples
 
-    mean, log_std, _, _ = policy_distribution(bundle, states)
+    mean, log_std, _, _ = dist or policy_distribution(bundle, states)
     acts_pi = _sample_policy_actions(bundle, mean, log_std,
                                      rng.standard_normal((n, k, adim)))
     mean_n, log_std_n, _, _ = policy_distribution(bundle, batch.next_states)
@@ -383,44 +396,34 @@ def cql_critic_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
 
 
 def cql_actor_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
-                   rng: np.random.Generator) -> PolicyLossResult:
+                   rng: np.random.Generator, dist=None) -> PolicyLossResult:
     """AWR with the Q-mean baseline A = Q(s,a) - E_{a~pi}[Q(s,a)], minus
     lambda * E_{a~pi'}[Q(s,a)] driven through reparameterized actions."""
     states = batch.states
     n = states.shape[0]
     adim = bundle.action_scale.shape[0]
     k = hp.n_action_samples
-    mean, log_std, raw, cache = policy_distribution(bundle, states)
+    dist = dist or policy_distribution(bundle, states)
+    mean, log_std, _, cache = dist
 
     acts_pi = _sample_policy_actions(bundle, mean, log_std,
                                      rng.standard_normal((n, k, adim)))
     sa_pi = np.hstack([np.repeat(states, k, axis=0), acts_pi.reshape(n * k, adim)])
     q_baseline = bundle.q_net.forward(sa_pi)[:, 0].reshape(n, k).mean(axis=1)
     q_data = bundle.q_net.forward(np.hstack([states, batch.actions]))[:, 0]
-    advantage = q_data - q_baseline
-
-    weights = np.exp(np.minimum(hp.beta_awr * advantage, np.log(hp.weight_clip)))
-    log_prob = nn.squashed_gaussian_log_prob(mean, log_std, batch.actions,
-                                             bundle.action_scale)
-    awr = float(-np.mean(weights * log_prob))
-    u_data = nn.presquash_actions(batch.actions, bundle.action_scale)
-    d_mean, d_log_std = nn.gaussian_log_prob_grads(mean, log_std, u_data)
-    coeff = (-weights / n)[:, None]
-    clamp_mask = (raw > nn.LOG_STD_MIN) & (raw < nn.LOG_STD_MAX)
-    cot = np.hstack([coeff * d_mean, coeff * d_log_std * clamp_mask])
+    awr, cot = _awr_cotangent(bundle, batch, hp, dist, q_data - q_baseline)
 
     loss = awr
     if hp.lambda_explore > 0.0:
         eps = rng.standard_normal(mean.shape)
-        std = np.exp(log_std)
-        tanh_u = np.tanh(mean + std * eps)
+        tanh_u = np.tanh(mean + np.exp(log_std) * eps)
         actions = bundle.action_scale * tanh_u
         q_out, q_cache = bundle.q_net.forward_cache(np.hstack([states, actions]))
         bonus = float(np.mean(q_out[:, 0]))
         loss = awr - hp.lambda_explore * bonus
         d_sa = bundle.q_net.input_grad(q_cache, np.full((n, 1), -hp.lambda_explore / n))
         d_u = d_sa[:, states.shape[1]:] * bundle.action_scale * (1.0 - tanh_u ** 2)
-        cot = cot + np.hstack([d_u, d_u * std * eps * clamp_mask])
+        cot = cot + _reparam_cotangent(dist, eps, d_u)
     grads, _ = bundle.policy_net.backward(cache, cot)
     return PolicyLossResult(_check_finite(loss, "policy loss"), awr, grads)
 
@@ -494,17 +497,19 @@ def train_agent(dataset: ContinuousTransitionDataset,
     rows: list[dict] = []
     for step in range(1, hp.total_steps + 1):
         batch = _sample_batch(dataset, hp.batch_size, rng)
+        # the policy changes only at the end of the step: one pass serves all losses
+        dist = policy_distribution(bundle, batch.states)
         try:
             if algorithm == "cql_awr":
                 loss_v, gap = None, None
-                loss_q, q_grads = cql_critic_loss(bundle, batch, hp, rng)
+                loss_q, q_grads = cql_critic_loss(bundle, batch, hp, rng, dist)
                 bundle.q_net.params, bundle.opt_q = nn.adam_step(
                     bundle.opt_q, bundle.q_net.params, q_grads)
-                pi = cql_actor_loss(bundle, batch, hp, rng)
+                pi = cql_actor_loss(bundle, batch, hp, rng, dist)
             else:
                 v_result = _v_loss_impl(bundle, batch, model, hp, rng,
                                         penalty_active=uses_penalty,
-                                        noise_variant=noise_variant)
+                                        noise_variant=noise_variant, dist=dist)
                 loss_v, gap = v_result.loss, v_result.gap
                 bundle.v_net.params, bundle.opt_v = nn.adam_step(
                     bundle.opt_v, bundle.v_net.params, v_result.grads)
@@ -514,9 +519,9 @@ def train_agent(dataset: ContinuousTransitionDataset,
                 bundle.q_net.params, bundle.opt_q = nn.adam_step(
                     bundle.opt_q, bundle.q_net.params, q_grads)
                 if hp.lambda_explore > 0.0:
-                    pi = explore_policy_loss(bundle, batch, model, hp, rng)
+                    pi = explore_policy_loss(bundle, batch, model, hp, rng, dist)
                 else:
-                    pi = awr_policy_loss(bundle, batch, hp)
+                    pi = awr_policy_loss(bundle, batch, hp, dist)
             bundle.policy_net.params, bundle.opt_policy = nn.adam_step(
                 bundle.opt_policy, bundle.policy_net.params, pi.grads)
             target_update(bundle, hp)
@@ -589,8 +594,7 @@ def load_agent(directory):
     """Returns (bundle, hp, manifest); optimizer states are freshly zeroed."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    nets = {name: nn.load_mlp_blob((directory / f"{name}.bin").read_bytes())
-            for name in _NETS}
+    nets = {name: nn.load_mlp_file(directory / f"{name}.bin")[0] for name in _NETS}
     hp_doc = dict(manifest["hyper_params"])
     hp_doc["hidden_sizes"] = tuple(hp_doc["hidden_sizes"])
     hp = CsveHyperParams(**hp_doc)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agent, data, dynamics, envs, theory
-from .errors import ConfigError, CsveError, DivergenceError, InputError
+from .errors import ConfigError, CorruptFileError, CsveError, DivergenceError
 
 CSV_SCHEMA_VERSION = 1
 METRIC_COLUMNS = ("step", "loss_v", "loss_q", "loss_pi", "alpha", "v_gap",
@@ -52,16 +52,6 @@ def write_csv(path, columns, rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(row.get(col)) for col in columns))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_csv(path):
-    """Read a schema-versioned CSV back into (columns, row dicts of strings)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("schema_version,"):
-        raise InputError(f"{path} is missing the schema-version header row")
-    columns = lines[1].split(",")
-    rows = [dict(zip(columns, line.split(","))) for line in lines[2:] if line]
-    return columns, rows
 
 
 def _log(out_dir: Path, message: str) -> None:
@@ -510,7 +500,7 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"divergence: {err} (step {err.step})", file=sys.stderr)
         return 3
-    except OSError as err:
+    except (OSError, CorruptFileError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4
     except CsveError as err:

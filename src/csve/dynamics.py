@@ -247,8 +247,7 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
                 scale = 1.0 / xb.shape[0]
                 d_mean = diff * inv_var * scale
                 d_log = (1.0 - diff * diff * inv_var) * scale
-                d_log = np.where((raw > nn.LOG_STD_MIN) & (raw < nn.LOG_STD_MAX),
-                                 d_log, 0.0)
+                d_log = np.where(nn.clamp_log_std_mask(raw), d_log, 0.0)
                 grads, _ = member.backward(cache, np.hstack([d_mean, d_log]))
                 member.params, opt = nn.adam_step(opt, member.params, grads)
                 epoch_losses.append(loss)
@@ -323,15 +322,8 @@ def save_model(model: EnsembleDynamicsModel, directory) -> None:
 def load_model(directory) -> EnsembleDynamicsModel:
     directory = Path(directory)
     sidecar = json.loads((directory / "model.json").read_text())
-    raw = (directory / "model.bin").read_bytes()
-    members = []
-    offset = 0
-    for _ in range(sidecar["num_members"]):
-        member = nn.load_mlp_blob(raw[offset:])
-        members.append(member)
-        offset += len(nn.save_mlp_blob(member))
     return EnsembleDynamicsModel(
-        members,
+        nn.load_mlp_file(directory / "model.bin", sidecar["num_members"]),
         np.array(sidecar["in_mean"]),
         np.array(sidecar["in_std"]),
         np.array(sidecar["out_mean"]),

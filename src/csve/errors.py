@@ -9,6 +9,10 @@ class InputError(CsveError):
     """Invalid arguments or malformed data."""
 
 
+class CorruptFileError(InputError):
+    """A file on disk is truncated or malformed."""
+
+
 class SupportError(InputError):
     """A distribution or policy places mass where its reference has none."""
 

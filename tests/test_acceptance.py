@@ -242,6 +242,7 @@ def test_criterion_10_adaptive_alpha_strict_response():
 # 11-13: desk-scale offline RL
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_11_offline_rl_beats_behavior(pointmass_medium):
     start = time.time()
     env, dataset, model = pointmass_medium
@@ -264,6 +265,7 @@ def test_criterion_11_offline_rl_beats_behavior(pointmass_medium):
                   f"({elapsed / 60:.1f} min)")
 
 
+@pytest.mark.slow
 def test_criterion_12_exploration_weight_direction(pointmass_medium):
     env, dataset, model = pointmass_medium
     hp_base = dict(total_steps=20_000, log_interval=2000, eval_interval=20_000,
@@ -282,6 +284,7 @@ def test_criterion_12_exploration_weight_direction(pointmass_medium):
                   f"{pi_h:.3f} vs {pi_0:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_13_model_error_correlation(pointmass_medium):
     env, dataset, model = pointmass_medium
     fractions = (0.0006, 0.002, 0.008, 0.05, 0.4)

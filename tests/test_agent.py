@@ -631,3 +631,105 @@ def test_smoke_first_1000_steps_finite_on_all_datasets():
             for row in rows:
                 for key in ("loss_v", "loss_q", "loss_pi", "alpha"):
                     assert np.isfinite(row[key]), (env_name, tier, key)
+
+
+# ---------------------------------------------------------------------------
+# The training step against its first form
+# ---------------------------------------------------------------------------
+
+def reference_adam_step(state, params, grads):
+    """The Adam update as first written: one temporary per operation."""
+    g = np.concatenate(grads, axis=None)
+    step = state.step + 1
+    b1, b2 = state.beta1, state.beta2
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** step)
+    v_hat = v / (1.0 - b2 ** step)
+    new = np.concatenate(params, axis=None) - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    out, start = [], 0
+    for p in params:
+        out.append(new[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return out, nn.AdamState(m, v, step, state.lr, b1, b2, state.eps)
+
+
+def reference_polyak(target, source, omega):
+    return [(1.0 - omega) * t + omega * s for t, s in zip(target, source)]
+
+
+def reference_training(ds, model, hp, seed, algorithm):
+    """train_agent's loop as first written: every loss runs its own policy
+    pass, every forward pass is one whole-batch pass, and Adam and Polyak
+    are the expressions above."""
+    rng = np.random.default_rng(seed)
+    rng.integers(2 ** 63)
+    bundle = agent.init_bundle(ds.state_dim, ds.action_dim,
+                               agent._action_scale_from(ds), hp, rng)
+    if algorithm == "awac":
+        bundle.alpha = 0.0
+    penalty = algorithm in ("csve", "csve_noise")
+    rows = []
+    for step in range(1, hp.total_steps + 1):
+        batch = agent._sample_batch(ds, hp.batch_size, rng)
+        if algorithm == "cql_awr":
+            loss_v = gap = None
+            loss_q, grads = agent.cql_critic_loss(bundle, batch, hp, rng)
+            bundle.q_net.params, bundle.opt_q = reference_adam_step(
+                bundle.opt_q, bundle.q_net.params, grads)
+            pi = agent.cql_actor_loss(bundle, batch, hp, rng)
+        else:
+            res = agent._v_loss_impl(bundle, batch, model, hp, rng, penalty_active=penalty,
+                                     noise_variant=algorithm == "csve_noise")
+            loss_v, gap = res.loss, res.gap
+            bundle.v_net.params, bundle.opt_v = reference_adam_step(
+                bundle.opt_v, bundle.v_net.params, res.grads)
+            if penalty:
+                bundle.alpha = max(0.0, bundle.alpha + hp.lr_alpha * (gap - hp.tau_budget))
+            loss_q, grads = agent.q_loss(bundle, batch, hp)
+            bundle.q_net.params, bundle.opt_q = reference_adam_step(
+                bundle.opt_q, bundle.q_net.params, grads)
+            pi = agent.explore_policy_loss(bundle, batch, model, hp, rng)
+        bundle.policy_net.params, bundle.opt_policy = reference_adam_step(
+            bundle.opt_policy, bundle.policy_net.params, pi.grads)
+        bundle.q_target.params = reference_polyak(bundle.q_target.params,
+                                                  bundle.q_net.params, hp.omega)
+        if step % hp.log_interval == 0 or step == hp.total_steps:
+            rows.append({"step": step, "loss_v": loss_v, "loss_q": loss_q,
+                         "loss_pi": pi.awr_loss, "alpha": bundle.alpha, "v_gap": gap,
+                         "eval_return_mean": None, "eval_return_std": None})
+    return bundle, rows
+
+
+@pytest.mark.parametrize("algorithm", ["csve", "csve_noise", "awac", "cql_awr"])
+def test_training_step_matches_its_first_form_exactly(pointmass_setup, algorithm,
+                                                      monkeypatch):
+    """32 x 10 = 320 target rows through 256-wide critics: the target passes
+    run in two blocks, of 128 and 192 rows."""
+    _, ds, model = pointmass_setup
+    hp = agent.CsveHyperParams(batch_size=32, n_action_samples=10, total_steps=12,
+                               log_interval=4, alpha_init=0.5, tau_budget=0.01)
+    if algorithm == "awac":
+        hp = dataclasses.replace(hp, adaptive_alpha=False, alpha_init=0.0,
+                                 lambda_explore=0.0)
+    blocks = []
+    whole = nn.Mlp.forward_cache
+
+    def spy(mlp, x):
+        blocks.append(len(x))
+        return whole(mlp, x)
+
+    monkeypatch.setattr(nn.Mlp, "forward_cache", spy)
+    bundle, rows = agent.train_agent(ds, model, hp, np.random.default_rng(3),
+                                     algorithm=algorithm)
+    assert 192 in blocks
+    monkeypatch.setattr(nn.Mlp, "forward", lambda mlp, x: whole(mlp, x)[0])
+    want, want_rows = reference_training(ds, model, hp, 3, algorithm)
+    assert rows == want_rows
+    assert bundle.alpha == want.alpha
+    for name in ("v_net", "q_net", "q_target", "policy_net"):
+        for p, q in zip(getattr(bundle, name).params, getattr(want, name).params):
+            assert np.array_equal(p, q)
+    for opt in ("opt_v", "opt_q", "opt_policy"):
+        assert np.array_equal(getattr(bundle, opt).m, getattr(want, opt).m)
+        assert np.array_equal(getattr(bundle, opt).v, getattr(want, opt).v)

@@ -130,6 +130,39 @@ def test_train_missing_dataset_is_io_error(tmp_path):
     assert code == 4
 
 
+def test_short_or_over_long_model_blob_is_io_error(workspace, tmp_path, capsys):
+    _, data_dir, model_dir = workspace
+    blob = (model_dir / "model.bin").read_bytes()
+    bad = tmp_path / "model"
+    bad.mkdir()
+    (bad / "model.json").write_bytes((model_dir / "model.json").read_bytes())
+    for name, payload in (("header", blob[:20]), ("short", blob[:-8]),
+                          ("long", blob + bytes(8))):
+        (bad / "model.bin").write_bytes(payload)
+        code = run(["train", "--data", data_dir, "--model", bad, "--algorithm", "csve",
+                    "--total-steps", 1, "--hidden-sizes", "8,8", "--out", tmp_path / name])
+        err = capsys.readouterr().err
+        assert code == 4, name
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert "model.bin" in err
+        assert not (tmp_path / name / "metrics.csv").exists()
+
+
+def test_short_agent_checkpoint_is_io_error(workspace, tmp_path, capsys):
+    _, data_dir, _ = workspace
+    train_out = tmp_path / "t"
+    assert run(["train", "--data", data_dir, "--algorithm", "awac", "--total-steps", 1,
+                "--hidden-sizes", "8,8", "--no-eval", "true", "--out", train_out]) == 0
+    net = train_out / "checkpoint" / "policy_net.bin"
+    net.write_bytes(net.read_bytes()[:-1])
+    capsys.readouterr()
+    assert run(["eval", "--data", data_dir, "--checkpoint", train_out / "checkpoint",
+                "--episodes", 1, "--out", tmp_path / "e"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "policy_net.bin" in err
+
+
 def test_config_file_defaults_and_flag_override(workspace, tmp_path):
     _, data_dir, model_dir = workspace
     config = tmp_path / "run.ini"

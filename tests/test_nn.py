@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csve import nn
-from csve.errors import InputError
+from csve.errors import CorruptFileError, InputError
 
 
 def finite_difference_grads(fn, params, h=1e-5):
@@ -163,6 +163,50 @@ def test_forward_and_backward_match_preactivation_reference_exactly(activation):
     assert np.array_equal(mlp.input_grad(row_cache, cot[0]), row_input[0])
 
 
+def block_shapes(mlp, x):
+    """forward(x), and the input shape of each forward_cache pass it made."""
+    shapes, whole = [], mlp.forward_cache
+
+    def spy(block):
+        shapes.append(block.shape)
+        return whole(block)
+
+    mlp.forward_cache = spy
+    try:
+        return mlp.forward(x), shapes
+    finally:
+        del mlp.forward_cache
+
+
+@pytest.mark.parametrize("rows, sizes, activation, blocks", [
+    (2560, (6, 256, 256, 1), "relu", [256] * 10),   # the paper's target pass
+    (512, (6, 32, 32, 1), "relu", [512]),           # desk size runs unblocked
+    (257, (6, 256, 256, 1), "tanh", [128, 129]),    # just above one block
+    (1000, (6, 256, 256, 1), "relu", [192, 256, 256, 296]),  # not a multiple
+    (5000, (6, 32, 32, 1), "relu", [1664, 1664, 1672]),  # desk width, many rows
+    (300, (6, 1024, 1), "relu", [128, 172]),        # the floor of 128 rows wins
+    (2560, (6, 256, 256, 4), "relu", [2560]),       # several outputs: one pass
+])
+def test_blocked_forward_matches_whole_batch_exactly(rows, sizes, activation, blocks):
+    rng = np.random.default_rng(rows)
+    mlp = nn.Mlp.init(sizes, rng, activation=activation)
+    x = rng.normal(size=(rows, sizes[0]))
+    x_before = x.copy()
+    out, shapes = block_shapes(mlp, x)
+    assert [shape[0] for shape in shapes] == blocks
+    assert np.array_equal(out, mlp.forward_cache(x)[0])
+    assert np.array_equal(x, x_before)
+
+
+def test_forward_of_one_row_is_one_pass():
+    rng = np.random.default_rng(2)
+    mlp = nn.Mlp.init([6, 256, 256, 1], rng)
+    x = rng.normal(size=6)
+    out, shapes = block_shapes(mlp, x)
+    assert shapes == [(6,)] and out.shape == (1,)
+    assert np.array_equal(out, mlp.forward_cache(x)[0])
+
+
 def test_gradcheck_on_agent_network_shapes():
     rng = np.random.default_rng(9)
     shapes = [[4, 8, 8, 1], [6, 8, 8, 1], [4, 8, 8, 4], [5, 16, 10], [2, 4, 4, 2]]
@@ -253,6 +297,27 @@ def test_adam_and_polyak_match_per_array_updates_exactly():
                    for b, t_, p in zip(blended, target, params))
     with pytest.raises(InputError):
         nn.adam_step(nn.adam_init(params[:2], lr=0.1), params, grads)
+
+
+def test_adam_and_polyak_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(9)
+    shapes = [(5, 3), (3,), (3, 1), (1,)]
+    params = [rng.normal(size=s) for s in shapes]
+    state = nn.adam_init(params, lr=0.01)
+    params, state = nn.adam_step(state, params, [rng.normal(size=s) for s in shapes])
+    grads = [rng.normal(size=s) for s in shapes]
+    target = [rng.normal(size=s) for s in shapes]
+    inputs = [params, grads, target, [state.m, state.v]]
+    before = [[a.copy() for a in group] for group in inputs]
+
+    new_params, new_state = nn.adam_step(state, params, grads)
+    blended = nn.polyak_update(target, params, 0.3)
+    for group, saved in zip(inputs, before):
+        assert all(np.array_equal(a, b) for a, b in zip(group, saved))
+    assert state.step == 1 and new_state.step == 2
+    outputs = [*new_params, *blended, new_state.m, new_state.v]
+    assert not any(np.shares_memory(a, b) for a in outputs
+                   for group in inputs for b in group)
 
 
 def test_polyak_closed_form_blend():
@@ -353,10 +418,30 @@ def test_blob_round_trip_is_exact():
     rng = np.random.default_rng(17)
     mlp = nn.Mlp.init([4, 7, 3], rng, activation="tanh")
     blob = nn.save_mlp_blob(mlp)
-    back = nn.load_mlp_blob(blob)
+    back, end = nn.read_mlp_blob(blob)
+    assert end == len(blob)
     assert back.layer_sizes == mlp.layer_sizes
     assert back.activation == "tanh"
     for p, q in zip(back.params, mlp.params):
         assert np.array_equal(p, q)
     with pytest.raises(InputError):
-        nn.load_mlp_blob(b"JUNK" + blob)
+        nn.read_mlp_blob(b"JUNK" + blob)
+
+
+def test_blob_file_must_hold_exactly_its_blobs(tmp_path):
+    rng = np.random.default_rng(3)
+    mlps = [nn.Mlp.init([3, 5, 2], rng), nn.Mlp.init([3, 5, 2], rng, activation="tanh")]
+    blob = b"".join(nn.save_mlp_blob(m) for m in mlps)
+    path = tmp_path / "nets.bin"
+    path.write_bytes(blob)
+    back = nn.load_mlp_file(path, 2)
+    assert [m.activation for m in back] == ["relu", "tanh"]
+    assert all(np.array_equal(p, q) for a, b in zip(back, mlps)
+               for p, q in zip(a.params, b.params))
+    for cut in range(len(blob)):            # every truncation, header or body
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CorruptFileError, match="nets.bin"):
+            nn.load_mlp_file(path, 2)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(CorruptFileError, match="1 bytes after the last blob"):
+        nn.load_mlp_file(path, 2)

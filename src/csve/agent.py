@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .data import ContinuousTransitionDataset
+from .data import ContinuousTransitionDataset, read_json
 from .dynamics import EnsembleDynamicsModel
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, CorruptFileError, DivergenceError, InputError
 
 ALGORITHMS = ("csve", "csve_noise", "awac", "cql_awr")
 OOD_VARIANTS = ("model_next_state", "gaussian_noise")
@@ -148,21 +148,65 @@ def deterministic_action(bundle: AgentBundle, state: np.ndarray) -> np.ndarray:
     return bundle.action_scale * np.tanh(mean[0])
 
 
-def _check_finite(value: float, name: str, step: int | None = None) -> float:
+def _check_finite(value: float, name: str) -> float:
     if not np.isfinite(value):
-        raise DivergenceError(f"{name} became non-finite", step=step)
+        raise DivergenceError(f"{name} became non-finite")
     return float(value)
 
 
-def _sample_policy_actions(bundle, mean, log_std, noise):
-    """Squashed samples for target estimation; no gradients are kept."""
-    u = mean[..., None, :] + np.exp(log_std)[..., None, :] * noise
-    return bundle.action_scale * np.tanh(u)
+def _policy_rows(bundle, states, dist, k, rng):
+    """The n*k (state, action) rows, state-major, of k squashed actions
+    drawn per state from the policy head ``dist``; no gradients are kept."""
+    mean, log_std = dist[0], dist[1]
+    n, adim = mean.shape
+    u = mean[..., None, :] + np.exp(log_std)[..., None, :] * rng.standard_normal((n, k, adim))
+    actions = bundle.action_scale * np.tanh(u)
+    return np.hstack([np.repeat(states, k, axis=0), actions.reshape(n * k, adim)])
+
+
+def _mean_q(net, rows, k):
+    """Per-state mean of ``net`` over the k rows :func:`_policy_rows` gave each state."""
+    return net.forward(rows)[:, 0].reshape(-1, k).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Critic losses
 # ---------------------------------------------------------------------------
+
+def _penalized_regression(net, x, targets, x_ood, alpha, weight):
+    """Loss, gradients and gap of a one-output critic for
+
+        weight * mean((net(x) - targets)^2) + alpha * (mean net(x_ood) - mean net(x)),
+
+    with gap = mean net(x_ood) - mean net(x); without ``x_ood`` the penalty
+    is off and the gap is None.  The targets are constants.
+
+    The alpha convention: on one-hot inputs with a linear net, where the
+    rows of x fall on state s with frequency d_u(s) and those of x_ood with
+    frequency d(s), the gradient vanishes at
+
+        net(s) = target(s) - alpha / (2 * weight) * (d(s) / d_u(s) - 1).
+
+    The tabular objective 0.5 * E_du[(backup - V)^2] + alpha * (E_d V - E_du V)
+    is this one at weight 1/2, with the same fixed point at the same alpha;
+    at weight 1 an alpha acts like a tabular alpha / 2.
+    """
+    out, cache = net.forward_cache(x)
+    pred = out[:, 0]
+    n = len(pred)
+    diff = pred - targets
+    loss = weight * float(np.mean(diff * diff))
+    d_pred = 2.0 * weight * diff / n
+    if x_ood is None:
+        grads, _ = net.backward(cache, d_pred[:, None])
+        return loss, grads, None
+    out_ood, ood_cache = net.forward_cache(x_ood)
+    gap = float(np.mean(out_ood[:, 0]) - np.mean(pred))
+    grads, _ = net.backward(cache, (d_pred - alpha / n)[:, None])
+    m = len(x_ood)
+    ood_grads, _ = net.backward(ood_cache, np.full((m, 1), alpha / m))
+    return loss + alpha * gap, [g + og for g, og in zip(grads, ood_grads)], gap
+
 
 class VLossResult(NamedTuple):
     loss: float
@@ -173,53 +217,30 @@ class VLossResult(NamedTuple):
 def _v_loss_impl(bundle: AgentBundle, batch: Batch, model, hp: CsveHyperParams,
                  rng: np.random.Generator, penalty_active: bool,
                  noise_variant: bool, dist=None) -> VLossResult:
+    """Fitted-V regression onto E_{a~pi}[Q_target(s, a)] plus, when
+    ``penalty_active``, alpha * (E[V(s')] - E[V(s)]) on penalized states s':
+    the model's sampled next states under a ~ pi, or with ``noise_variant``
+    the batch states plus Gaussian noise of variance ``hp.noise_var``.
+    Gradients flow into the V network only.
+
+    This is :func:`_penalized_regression` at weight 1, so its fixed point is
+    the tabular one at alpha / 2: V(s) = target(s) - alpha/2 * (d/d_u - 1).
+    """
     states = batch.states
-    n = states.shape[0]
-    adim = bundle.action_scale.shape[0]
-    mean, log_std, _, _ = dist or policy_distribution(bundle, states)
-    noise = rng.standard_normal((n, hp.n_action_samples, adim))
-    acts = _sample_policy_actions(bundle, mean, log_std, noise)
-    sa = np.hstack([np.repeat(states, hp.n_action_samples, axis=0),
-                    acts.reshape(n * hp.n_action_samples, adim)])
-    q_bar = bundle.q_target.forward(sa).reshape(n, hp.n_action_samples)
-    target = q_bar.mean(axis=1)
-
-    v_out, cache = bundle.v_net.forward_cache(states)
-    v = v_out[:, 0]
-    diff = target - v
-    loss = float(np.mean(diff * diff))
-    d_v = -2.0 * diff / n
-
-    gap = None
-    if penalty_active:
-        if noise_variant:
-            ood_states = states + np.sqrt(hp.noise_var) * rng.standard_normal(states.shape)
-        else:
-            pen_noise = rng.standard_normal((n, adim))
-            pen_actions = bundle.action_scale * np.tanh(mean + np.exp(log_std) * pen_noise)
-            ood_states, _ = model.sample_next_batch(states, pen_actions, rng)
-        v_ood_out, ood_cache = bundle.v_net.forward_cache(ood_states)
-        v_ood = v_ood_out[:, 0]
-        gap = float(np.mean(v_ood) - np.mean(v))
-        loss = loss + bundle.alpha * gap
-        d_v = d_v - bundle.alpha / n
-        grads, _ = bundle.v_net.backward(cache, d_v[:, None])
-        ood_grads, _ = bundle.v_net.backward(ood_cache, np.full((n, 1), bundle.alpha / n))
-        grads = [g + og for g, og in zip(grads, ood_grads)]
-    else:
-        grads, _ = bundle.v_net.backward(cache, d_v[:, None])
+    dist = dist or policy_distribution(bundle, states)
+    k = hp.n_action_samples
+    target = _mean_q(bundle.q_target, _policy_rows(bundle, states, dist, k, rng), k)
+    ood_states = None
+    if penalty_active and noise_variant:
+        ood_states = states + np.sqrt(hp.noise_var) * rng.standard_normal(states.shape)
+    elif penalty_active:
+        mean, log_std = dist[0], dist[1]
+        pen_noise = rng.standard_normal(mean.shape)
+        pen_actions = bundle.action_scale * np.tanh(mean + np.exp(log_std) * pen_noise)
+        ood_states, _ = model.sample_next_batch(states, pen_actions, rng)
+    loss, grads, gap = _penalized_regression(bundle.v_net, states, target, ood_states,
+                                             bundle.alpha, 1.0)
     return VLossResult(_check_finite(loss, "v loss"), grads, gap)
-
-
-def v_loss(bundle: AgentBundle, batch: Batch, model: EnsembleDynamicsModel,
-           hp: CsveHyperParams, rng: np.random.Generator) -> VLossResult:
-    """Fitted-V regression onto E_{a~pi}[Q_target] plus the out-of-distribution
-    state penalty alpha * (E[V(s')] - E[V(s)]), s' drawn through the model.
-    Gradients flow into the V network only."""
-    if model is None:
-        raise InputError("the model-based penalty needs a trained dynamics model")
-    return _v_loss_impl(bundle, batch, model, hp, rng, penalty_active=True,
-                        noise_variant=False)
 
 
 def v_loss_noise_variant(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
@@ -236,13 +257,9 @@ def q_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams):
     bootstrap."""
     v_next = bundle.v_net.forward(batch.next_states)[:, 0]
     target = batch.rewards + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * v_next
-    sa = np.hstack([batch.states, batch.actions])
-    q_out, cache = bundle.q_net.forward_cache(sa)
-    q = q_out[:, 0]
-    diff = target - q
-    loss = _check_finite(float(np.mean(diff * diff)), "q loss")
-    grads, _ = bundle.q_net.backward(cache, (-2.0 * diff / len(q))[:, None])
-    return loss, grads
+    loss, grads, _ = _penalized_regression(
+        bundle.q_net, np.hstack([batch.states, batch.actions]), target, None, 0.0, 1.0)
+    return _check_finite(loss, "q loss"), grads
 
 
 def target_update(bundle: AgentBundle, hp: CsveHyperParams) -> None:
@@ -357,42 +374,24 @@ def explore_policy_loss(bundle: AgentBundle, batch: Batch,
 def cql_critic_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
                     rng: np.random.Generator, dist=None):
     """Action-penalized Q objective: alpha * (E_{a~pi}[Q] - E_{a~data}[Q]) plus
-    half the TD error against r + gamma * E_{a'~pi}[Q_target(s', a')]."""
-    states = batch.states
-    n = states.shape[0]
-    adim = bundle.action_scale.shape[0]
+    half the TD error against r + gamma * E_{a'~pi}[Q_target(s', a')].
+
+    This is :func:`_penalized_regression` over (s, a_data) with penalized
+    rows (s, a~pi) at weight 1/2, which matches the tabular convention: the
+    fixed point is Q(s, a) = target - alpha * (d/d_u - 1) at the same alpha,
+    d and d_u being the shares of (s, a) among the policy and the data rows.
+    """
     k = hp.n_action_samples
-
-    mean, log_std, _, _ = dist or policy_distribution(bundle, states)
-    acts_pi = _sample_policy_actions(bundle, mean, log_std,
-                                     rng.standard_normal((n, k, adim)))
-    mean_n, log_std_n, _, _ = policy_distribution(bundle, batch.next_states)
-    acts_next = _sample_policy_actions(bundle, mean_n, log_std_n,
-                                       rng.standard_normal((n, k, adim)))
-
-    sa_data = np.hstack([states, batch.actions])
-    q_data_out, data_cache = bundle.q_net.forward_cache(sa_data)
-    q_data = q_data_out[:, 0]
-
-    sa_pi = np.hstack([np.repeat(states, k, axis=0), acts_pi.reshape(n * k, adim)])
-    q_pi_out, pi_cache = bundle.q_net.forward_cache(sa_pi)
-    q_pi = q_pi_out[:, 0].reshape(n, k)
-
-    sa_next = np.hstack([np.repeat(batch.next_states, k, axis=0),
-                         acts_next.reshape(n * k, adim)])
-    q_next = bundle.q_target.forward(sa_next)[:, 0].reshape(n, k).mean(axis=1)
+    pi_rows = _policy_rows(bundle, batch.states,
+                           dist or policy_distribution(bundle, batch.states), k, rng)
+    next_rows = _policy_rows(bundle, batch.next_states,
+                             policy_distribution(bundle, batch.next_states), k, rng)
+    q_next = _mean_q(bundle.q_target, next_rows, k)
     target = batch.rewards + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * q_next
-
-    penalty = float(np.mean(q_pi) - np.mean(q_data))
-    diff = q_data - target
-    loss = _check_finite(bundle.alpha * penalty + 0.5 * float(np.mean(diff * diff)),
-                         "cql critic loss")
-    d_data = (diff / n - bundle.alpha / n)[:, None]
-    d_pi = np.full((n * k, 1), bundle.alpha / (n * k))
-    grads, _ = bundle.q_net.backward(data_cache, d_data)
-    grads_pi, _ = bundle.q_net.backward(pi_cache, d_pi)
-    grads = [g + gp for g, gp in zip(grads, grads_pi)]
-    return loss, grads
+    loss, grads, _ = _penalized_regression(
+        bundle.q_net, np.hstack([batch.states, batch.actions]), target, pi_rows,
+        bundle.alpha, 0.5)
+    return _check_finite(loss, "cql critic loss"), grads
 
 
 def cql_actor_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
@@ -401,15 +400,11 @@ def cql_actor_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
     lambda * E_{a~pi'}[Q(s,a)] driven through reparameterized actions."""
     states = batch.states
     n = states.shape[0]
-    adim = bundle.action_scale.shape[0]
     k = hp.n_action_samples
     dist = dist or policy_distribution(bundle, states)
     mean, log_std, _, cache = dist
 
-    acts_pi = _sample_policy_actions(bundle, mean, log_std,
-                                     rng.standard_normal((n, k, adim)))
-    sa_pi = np.hstack([np.repeat(states, k, axis=0), acts_pi.reshape(n * k, adim)])
-    q_baseline = bundle.q_net.forward(sa_pi)[:, 0].reshape(n, k).mean(axis=1)
+    q_baseline = _mean_q(bundle.q_net, _policy_rows(bundle, states, dist, k, rng), k)
     q_data = bundle.q_net.forward(np.hstack([states, batch.actions]))[:, 0]
     awr, cot = _awr_cotangent(bundle, batch, hp, dist, q_data - q_baseline)
 
@@ -461,6 +456,20 @@ def _evaluate_bundle(bundle, env, episodes: int, rng: np.random.Generator):
     return float(returns.mean()), float(returns.std())
 
 
+# Settings a baseline fixes over the caller's: awac has neither state penalty
+# nor bonus, and cql_awr keeps its alpha at alpha_init.
+_FIXED_HP = {
+    "awac": dict(adaptive_alpha=False, alpha_init=0.0, lambda_explore=0.0),
+    "cql_awr": dict(adaptive_alpha=False),
+}
+
+
+def algorithm_hp(hp: CsveHyperParams, algorithm: str) -> CsveHyperParams:
+    """The settings ``algorithm`` trains with: ``hp`` with the baseline's
+    fixed settings applied.  Training and the checkpoint manifest use it."""
+    return dataclasses.replace(hp, **_FIXED_HP.get(algorithm, {}))
+
+
 def train_agent(dataset: ContinuousTransitionDataset,
                 model: EnsembleDynamicsModel | None,
                 hp: CsveHyperParams,
@@ -470,7 +479,8 @@ def train_agent(dataset: ContinuousTransitionDataset,
     """Run the full offline loop: per step V update, penalty-weight update,
     Q update, policy update, then the soft target update.  Deterministic
     for a fixed generator state; evaluation (when ``env`` is given) uses a
-    stream split off up front so it never perturbs training draws.
+    stream split off up front so it never perturbs training draws.  A
+    baseline trains with its fixed settings (:func:`algorithm_hp`).
 
     Returns (bundle, metric_rows); raises DivergenceError with the failing
     step on a non-finite loss.
@@ -479,6 +489,7 @@ def train_agent(dataset: ContinuousTransitionDataset,
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if dataset.size == 0:
         raise InputError("cannot train on an empty dataset")
+    hp = algorithm_hp(hp, algorithm)
     noise_variant = algorithm == "csve_noise" or (
         algorithm == "csve" and hp.ood_variant == "gaussian_noise")
     uses_penalty = algorithm in ("csve", "csve_noise") and (
@@ -491,8 +502,6 @@ def train_agent(dataset: ContinuousTransitionDataset,
     eval_rng = np.random.default_rng(rng.integers(2 ** 63))
     bundle = init_bundle(dataset.state_dim, dataset.action_dim,
                          _action_scale_from(dataset), hp, rng)
-    if algorithm == "awac":
-        bundle.alpha = 0.0
 
     rows: list[dict] = []
     for step in range(1, hp.total_steps + 1):
@@ -550,17 +559,8 @@ def train_agent(dataset: ContinuousTransitionDataset,
 
 def awac_baseline(dataset, hp: CsveHyperParams, rng, env=None):
     """The same loop with the state penalty and exploration bonus structurally
-    removed (and alpha pinned to zero)."""
-    hp = dataclasses.replace(hp, adaptive_alpha=False, alpha_init=0.0,
-                             lambda_explore=0.0)
+    removed (and alpha pinned to zero), whatever ``hp`` asks for."""
     return train_agent(dataset, None, hp, rng, env=env, algorithm="awac")
-
-
-def cql_awr_baseline(dataset, hp: CsveHyperParams, rng, env=None):
-    """Model-free baseline: action-penalized Q critic with the AWR +
-    action-exploration actor."""
-    hp = dataclasses.replace(hp, adaptive_alpha=False)
-    return train_agent(dataset, None, hp, rng, env=env, algorithm="cql_awr")
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +572,7 @@ _NETS = ("v_net", "q_net", "q_target", "policy_net")
 
 def save_agent(bundle: AgentBundle, hp: CsveHyperParams, step: int, directory,
                algorithm: str = "csve") -> None:
+    hp = algorithm_hp(hp, algorithm)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name in _NETS:
@@ -593,11 +594,13 @@ def save_agent(bundle: AgentBundle, hp: CsveHyperParams, step: int, directory,
 def load_agent(directory):
     """Returns (bundle, hp, manifest); optimizer states are freshly zeroed."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest = read_json(directory / "manifest.json", ("alpha", "action_scale", "hyper_params"))
     nets = {name: nn.load_mlp_file(directory / f"{name}.bin")[0] for name in _NETS}
-    hp_doc = dict(manifest["hyper_params"])
-    hp_doc["hidden_sizes"] = tuple(hp_doc["hidden_sizes"])
-    hp = CsveHyperParams(**hp_doc)
+    hp_doc = manifest["hyper_params"]
+    try:
+        hp = CsveHyperParams(**{**hp_doc, "hidden_sizes": tuple(hp_doc["hidden_sizes"])})
+    except (KeyError, TypeError) as err:
+        raise CorruptFileError(f"{directory / 'manifest.json'} hyper_params: {err}") from None
     bundle = AgentBundle(
         v_net=nets["v_net"],
         q_net=nets["q_net"],

@@ -107,22 +107,14 @@ def resolve(args: argparse.Namespace, section: str, name: str, kind, default):
     return default
 
 
-_HP_KINDS = {
-    "alpha_init": float, "adaptive_alpha": bool, "tau_budget": float,
-    "beta_awr": float, "lambda_explore": float, "omega": float, "gamma": float,
-    "n_action_samples": int, "batch_size": int, "total_steps": int,
-    "lr_actor": float, "lr_critic": float, "lr_alpha": float,
-    "weight_clip": float, "hidden_sizes": tuple, "ood_variant": str,
-    "noise_var": float, "log_interval": int, "eval_interval": int, "n_eval": int,
-}
+# Every hyper-parameter is a flag and a config key of its default's type.
+_HP_KINDS = {f.name: type(f.default) for f in dataclasses.fields(agent.CsveHyperParams)}
 
 
-def _hyper_params(args, section: str, overrides: dict | None = None) -> agent.CsveHyperParams:
+def _hyper_params(args, section: str) -> agent.CsveHyperParams:
     values = {}
     for name, kind in _HP_KINDS.items():
         values[name] = resolve(args, section, name, kind, getattr(_HP_DEFAULTS, name))
-    if overrides:
-        values.update(overrides)
     return agent.CsveHyperParams(**values)
 
 
@@ -199,13 +191,7 @@ def _run_training(dataset_dir, model_dir, algorithm, hp, seed, out_dir,
     model = dynamics.load_model(model_dir) if model_dir else None
     env = envs.make_env(dataset.meta["env"]) if evaluate and "env" in dataset.meta else None
     rng = np.random.default_rng(seed)
-    if algorithm == "awac":
-        bundle, rows = agent.awac_baseline(dataset, hp, rng, env=env)
-    elif algorithm == "cql_awr":
-        bundle, rows = agent.cql_awr_baseline(dataset, hp, rng, env=env)
-    else:
-        bundle, rows = agent.train_agent(dataset, model, hp, rng, env=env,
-                                         algorithm=algorithm)
+    bundle, rows = agent.train_agent(dataset, model, hp, rng, env=env, algorithm=algorithm)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "metrics.csv", METRIC_COLUMNS, _metric_rows_for_csv(rows))

@@ -29,6 +29,7 @@ from .tabular import (
     discounted_state_occupancy,
     effective_counts,
     exact_policy_evaluation,
+    optimal_value_iteration,
     policy_reward_vector,
     policy_transition_matrix,
     sampling_error_vector,
@@ -327,24 +328,12 @@ def penalized_objective(policy: PolicyTable, empirical: TabularMdp,
     return j - penalty.alpha / (1.0 - empirical.discount) * penalty_term
 
 
-def conservative_value_iteration(empirical: TabularMdp, penalty: CsvePenaltyConfig,
-                                 tol: float = 1e-12,
-                                 max_iters: int = 1_000_000) -> tuple[ValueTable, PolicyTable]:
+def conservative_value_iteration(empirical: TabularMdp,
+                                 penalty: CsvePenaltyConfig) -> tuple[ValueTable, PolicyTable]:
     """Optimal-control variant of the penalized iteration:
     V(s) <- max_a [r(s,a) + gamma sum P V] - alpha * bracket(s).
     Returns the optimal conservative value and its greedy deterministic policy."""
-    correction = penalty.alpha * penalty.bracket()
-    v = np.zeros(empirical.num_states)
-    for _ in range(max_iters):
-        q = empirical.reward + empirical.discount * (empirical.transition @ v)
-        nxt = q.max(axis=1) - correction
-        if np.max(np.abs(nxt - v)) <= tol:
-            v = nxt
-            break
-        v = nxt
-    else:
-        raise ConvergenceError("conservative value iteration did not converge")
-    q = empirical.reward + empirical.discount * (empirical.transition @ v)
+    v, q = optimal_value_iteration(empirical, penalty.alpha * penalty.bracket())
     greedy = np.zeros_like(empirical.reward)
     greedy[np.arange(empirical.num_states), q.argmax(axis=1)] = 1.0
     return ValueTable(v), PolicyTable(greedy)

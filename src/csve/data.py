@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .envs import DATASET_TIERS, GridWorld, evaluate_policy, rollout, scripted_policy
-from .errors import InputError
+from .errors import CorruptFileError, InputError
 from .tabular import TabularDataset
 
 SCHEMA_VERSION = 1
@@ -170,6 +170,18 @@ def generate_dataset(env, tier: str, size: int, seed: int,
 # Disk format
 # ---------------------------------------------------------------------------
 
+def _from_records(rec, s_dim: int, a_dim: int, meta: dict) -> ContinuousTransitionDataset:
+    """Split records laid out as s, a, r, s', done (done when above 0.5)."""
+    return ContinuousTransitionDataset(
+        states=rec[:, :s_dim],
+        actions=rec[:, s_dim:s_dim + a_dim],
+        rewards=rec[:, s_dim + a_dim],
+        next_states=rec[:, s_dim + a_dim + 1:2 * s_dim + a_dim + 1],
+        dones=rec[:, -1] > 0.5,
+        meta=meta,
+    )
+
+
 def save_dataset(dataset: ContinuousTransitionDataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -190,23 +202,29 @@ def save_dataset(dataset: ContinuousTransitionDataset, directory) -> None:
         np.ascontiguousarray(record, dtype="<f8").tobytes())
 
 
+def read_json(path, keys=()) -> dict:
+    """A JSON sidecar's object; one that does not parse, or is not an object
+    holding every one of ``keys``, raises CorruptFileError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise CorruptFileError(f"{path} is not valid JSON: {err}") from None
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise CorruptFileError(f"{path} lacks {', '.join(missing)}")
+    return doc
+
+
 def load_dataset(directory) -> ContinuousTransitionDataset:
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
+    meta = read_json(directory / "meta.json", ("state_dim", "action_dim"))
     s_dim, a_dim = meta["state_dim"], meta["action_dim"]
     width = 2 * s_dim + a_dim + 2
     raw = np.frombuffer((directory / "transitions.bin").read_bytes(), dtype="<f8")
     if raw.size % width:
         raise InputError("transitions.bin length does not match the declared dims")
     rec = raw.reshape(-1, width)
-    return ContinuousTransitionDataset(
-        states=rec[:, :s_dim],
-        actions=rec[:, s_dim:s_dim + a_dim],
-        rewards=rec[:, s_dim + a_dim],
-        next_states=rec[:, s_dim + a_dim + 1:2 * s_dim + a_dim + 1],
-        dones=rec[:, -1] > 0.5,
-        meta=meta,
-    )
+    return _from_records(rec, s_dim, a_dim, meta)
 
 
 def import_csv(path) -> ContinuousTransitionDataset:
@@ -223,14 +241,8 @@ def import_csv(path) -> ContinuousTransitionDataset:
     if header != expected:
         raise InputError(f"CSV header {header} does not match the record layout {expected}")
     rec = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    return ContinuousTransitionDataset(
-        states=rec[:, :s_dim],
-        actions=rec[:, s_dim:s_dim + a_dim],
-        rewards=rec[:, s_dim + a_dim],
-        next_states=rec[:, s_dim + a_dim + 1:2 * s_dim + a_dim + 1],
-        dones=rec[:, -1] > 0.5,
-        meta={"schema_version": SCHEMA_VERSION, "source": str(path)},
-    )
+    return _from_records(rec, s_dim, a_dim,
+                         {"schema_version": SCHEMA_VERSION, "source": str(path)})
 
 
 def tabularize(dataset: ContinuousTransitionDataset, env: GridWorld) -> TabularDataset:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import ContinuousTransitionDataset
+from .data import ContinuousTransitionDataset, read_json
 from .errors import DivergenceError, InputError
 
 STD_FLOOR = 1e-6
@@ -130,10 +130,6 @@ class EnsembleDynamicsModel:
             out[sel] = head[:, :dim] + np.exp(nn.clamp_log_std(head[:, dim:])) * noise[sel]
         denorm = out * self.out_std + self.out_mean
         return states + denorm[:, :self.state_dim], denorm[:, self.state_dim]
-
-    def sample_next(self, state, action, rng: np.random.Generator):
-        nxt, reward = self.sample_next_batch(state, action, rng)
-        return nxt[0], float(reward[0])
 
     def mean_prediction(self, states, actions):
         """Deterministic ensemble-average mean prediction (next states, rewards)."""
@@ -321,7 +317,9 @@ def save_model(model: EnsembleDynamicsModel, directory) -> None:
 
 def load_model(directory) -> EnsembleDynamicsModel:
     directory = Path(directory)
-    sidecar = json.loads((directory / "model.json").read_text())
+    sidecar = read_json(directory / "model.json",
+                        ("num_members", "in_mean", "in_std", "out_mean", "out_std",
+                         "state_dim", "action_dim"))
     return EnsembleDynamicsModel(
         nn.load_mlp_file(directory / "model.bin", sidecar["num_members"]),
         np.array(sidecar["in_mean"]),

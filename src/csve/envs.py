@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .tabular import PolicyTable, TabularMdp
+from .tabular import PolicyTable, TabularMdp, optimal_value_iteration
 
 ENV_NAMES = ("gridworld", "pointmass2d", "pendulum")
 TIERS = ("random", "medium", "expert")
@@ -144,9 +144,6 @@ class GridWorld:
             raise InputError(f"cell ({row}, {col}) outside the grid")
         return row * self.SIZE + col
 
-    def index_state(self, index: int) -> np.ndarray:
-        return np.array([index // self.SIZE, index % self.SIZE], dtype=np.float64)
-
     @property
     def goal_index(self) -> int:
         return self.goal[0] * self.SIZE + self.goal[1]
@@ -217,23 +214,10 @@ class GridWorld:
 
     def epsilon_greedy_table(self, mdp: TabularMdp, epsilon: float) -> PolicyTable:
         """epsilon-greedy policy on the exact optimal Q of ``mdp``."""
-        q = optimal_q_values(mdp)
+        _, q = optimal_value_iteration(mdp)
         probs = np.full((mdp.num_states, mdp.num_actions), epsilon / mdp.num_actions)
         probs[np.arange(mdp.num_states), q.argmax(axis=1)] += 1.0 - epsilon
         return PolicyTable(probs)
-
-
-def optimal_q_values(mdp: TabularMdp, tol: float = 1e-12,
-                     max_iters: int = 1_000_000) -> np.ndarray:
-    """Optimal Q by value iteration to fixed-point tolerance ``tol``."""
-    v = np.zeros(mdp.num_states)
-    for _ in range(max_iters):
-        q = mdp.reward + mdp.discount * (mdp.transition @ v)
-        nxt = q.max(axis=1)
-        if np.max(np.abs(nxt - v)) <= tol:
-            return mdp.reward + mdp.discount * (mdp.transition @ nxt)
-        v = nxt
-    raise InputError("value iteration failed to converge")
 
 
 class Pendulum:

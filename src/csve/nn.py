@@ -285,11 +285,6 @@ def gaussian_log_prob(head: DiagGaussianHead, x: np.ndarray) -> np.ndarray:
     return -0.5 * np.sum(z * z + 2.0 * head.log_std + LOG_TWO_PI, axis=-1)
 
 
-def gaussian_sample(head: DiagGaussianHead, noise: np.ndarray) -> np.ndarray:
-    """Reparameterized sample mean + exp(log_std) * noise."""
-    return head.mean + np.exp(head.log_std) * np.asarray(noise, dtype=np.float64)
-
-
 def gaussian_log_prob_grads(mean, log_std, x):
     """d log N(x; mean, std) / d mean and / d log_std, elementwise."""
     inv_var = np.exp(-2.0 * log_std)
@@ -302,13 +297,6 @@ def gaussian_log_prob_grads(mean, log_std, x):
 # Tanh-squashed policy head: a = scale * tanh(u), u ~ N(mean, std).
 
 _ATANH_CLIP = 1.0 - 1e-9
-
-
-def squashed_gaussian_sample(mean, log_std, noise, scale):
-    """Returns (action, presquash) with gradients flowing through mean and
-    log_std via the reparameterization u = mean + std * noise."""
-    u = mean + np.exp(log_std) * noise
-    return scale * np.tanh(u), u
 
 
 def squashed_gaussian_log_prob(mean, log_std, actions, scale):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import ConvergenceError, InputError, NumericError
 
 PROB_ATOL = 1e-12
 SOLVE_RTOL = 1e-10
@@ -299,6 +299,20 @@ def exact_policy_evaluation(mdp: TabularMdp, policy: PolicyTable) -> ValueTable:
     return ValueTable(v)
 
 
+def optimal_value_iteration(mdp: TabularMdp,
+                            correction=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Value iteration V <- max_a [r + gamma P V] - correction from V = 0,
+    until two iterates differ by at most 1e-12.  Returns the last iterate V
+    and its Q = r + gamma P V.  A zero correction gives the optimal values."""
+    v = np.zeros(mdp.num_states)
+    for _ in range(1_000_000):
+        nxt = (mdp.reward + mdp.discount * (mdp.transition @ v)).max(axis=1) - correction
+        if np.max(np.abs(nxt - v)) <= 1e-12:
+            return nxt, mdp.reward + mdp.discount * (mdp.transition @ nxt)
+        v = nxt
+    raise ConvergenceError("value iteration did not converge")
+
+
 def discounted_state_occupancy(mdp: TabularMdp, policy: PolicyTable) -> StateDistribution:
     """Normalized discounted visitation d_pi = (1-gamma) rho^T (I - gamma P_pi)^-1."""
     p_pi = policy_transition_matrix(mdp, policy)
@@ -366,12 +380,6 @@ def sampling_error_vector(dataset: TabularDataset, sem: SamplingErrorModel,
     counts = effective_counts(dataset, sem)
     per_pair = sem.c_rt * mdp.r_max / ((1.0 - mdp.discount) * np.sqrt(counts))
     return np.sum(policy.probs * per_pair, axis=1)
-
-
-def sampling_error_bound(dataset: TabularDataset, sem: SamplingErrorModel,
-                         mdp: TabularMdp, policy: PolicyTable, state: int) -> float:
-    """sampling_error_vector evaluated at one state."""
-    return float(sampling_error_vector(dataset, sem, mdp, policy)[state])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from csve import agent, data, dynamics, envs, nn
+from csve import conservative as cons
+from csve import tabular as tab
 from csve.errors import ConfigError, InputError
 
 
@@ -105,7 +107,8 @@ def test_v_loss_constant_v_has_zero_penalty_term():
     bundle = hand_bundle(hp)
     bundle.v_net.params[0][:] = 0.0  # V identically 0.1
     batch = one_transition_batch()
-    got = agent.v_loss(bundle, batch, hand_model(), hp, np.random.default_rng(5))
+    got = agent._v_loss_impl(bundle, batch, hand_model(), hp, np.random.default_rng(5),
+                             penalty_active=True, noise_variant=False)
     assert got.gap == pytest.approx(0.0, abs=1e-12)
 
 
@@ -114,7 +117,8 @@ def test_v_loss_hand_evaluation_model_variant():
     bundle = hand_bundle(hp)
     batch = one_transition_batch()
     model = hand_model()
-    got = agent.v_loss(bundle, batch, model, hp, np.random.default_rng(5))
+    got = agent._v_loss_impl(bundle, batch, model, hp, np.random.default_rng(5),
+                             penalty_active=True, noise_variant=False)
 
     # replicate the documented draw order with scalar arithmetic
     rng = np.random.default_rng(5)
@@ -171,7 +175,8 @@ def test_v_loss_gradients_only_touch_v_net(pointmass_setup):
     rng = np.random.default_rng(1)
     bundle = agent.init_bundle(ds.state_dim, ds.action_dim, [1.0, 1.0], hp, rng)
     batch = agent._sample_batch(ds, 8, rng)
-    got = agent.v_loss(bundle, batch, model, hp, rng)
+    got = agent._v_loss_impl(bundle, batch, model, hp, rng, penalty_active=True,
+                             noise_variant=False)
     assert [g.shape for g in got.grads] == [p.shape for p in bundle.v_net.params]
     before = [p.copy() for p in bundle.policy_net.params + bundle.q_net.params
               + bundle.q_target.params]
@@ -180,6 +185,83 @@ def test_v_loss_gradients_only_touch_v_net(pointmass_setup):
     after = bundle.policy_net.params + bundle.q_net.params + bundle.q_target.params
     for p, q in zip(before, after):
         assert np.array_equal(p, q)
+
+
+# ---------------------------------------------------------------------------
+# the penalized regression core
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("weight", [1.0, 0.5])
+@pytest.mark.parametrize("with_ood", [False, True])
+def test_penalized_regression_gradient_matches_finite_differences(weight, with_ood):
+    rng = np.random.default_rng(21)
+    net = nn.Mlp.init([3, 5, 1], rng)  # one relu hidden layer
+    x = rng.normal(size=(6, 3))
+    targets = rng.normal(size=6)
+    x_ood = rng.normal(size=(9, 3)) if with_ood else None
+    alpha = 0.7
+    loss, grads, gap = agent._penalized_regression(net, x, targets, x_ood, alpha, weight)
+
+    pred = net.forward(x)[:, 0]
+    want = weight * np.mean((pred - targets) ** 2)
+    if with_ood:
+        assert gap == pytest.approx(np.mean(net.forward(x_ood)) - np.mean(pred), abs=1e-14)
+        want += alpha * gap
+    else:
+        assert gap is None
+    assert loss == pytest.approx(want, abs=1e-14)
+
+    def loss_at(params):
+        return agent._penalized_regression(nn.Mlp(net.layer_sizes, params), x, targets,
+                                           x_ood, alpha, weight)[0]
+
+    h = 1e-6
+    for k, p in enumerate(net.params):
+        for idx in np.ndindex(p.shape):
+            up = [q.copy() for q in net.params]
+            up[k][idx] += h
+            down = [q.copy() for q in net.params]
+            down[k][idx] -= h
+            fd = (loss_at(up) - loss_at(down)) / (2 * h)
+            assert abs(grads[k][idx] - fd) <= 1e-7 * max(1.0, abs(fd)), (k, idx)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.5])
+def test_penalized_regression_one_hot_optimum_is_the_tabular_one(weight):
+    """One-hot states and a linear net, data rows on state s with share d_u(s)
+    and penalized rows with share d(s): the gradient vanishes at
+    target - alpha / (2 * weight) * (d/d_u - 1), which is the argmin of the
+    tabular objective 0.5 E_du[(backup - V)^2] + alpha' (E_d V - E_du V) at
+    alpha' = alpha / (2 * weight).  So csve's V loss (weight 1) acts like a
+    tabular alpha / 2, and the CQL critic (weight 1/2) like the same alpha."""
+    counts_u = np.array([4, 2, 1, 3])
+    counts_d = np.array([1, 5, 0, 4])
+    targets = np.array([0.3, -1.2, 2.0, 0.7])
+    alpha = 0.8
+    d_u = tab.StateDistribution(counts_u / counts_u.sum())
+    d = tab.StateDistribution(counts_d / counts_d.sum())
+    penalty = cons.CsvePenaltyConfig(alpha / (2 * weight), d, d_u)
+    optimum = targets - alpha / (2 * weight) * penalty.bracket()
+
+    # one action whose reward is the target: the backup of V = 0 is the target
+    mdp = tab.TabularMdp(np.full((4, 1, 4), 0.25), targets[:, None], np.full(4, 0.25),
+                         0.9, 2.0)
+    argmin = cons.csve_objective_argmin(tab.ValueTable(np.zeros(4)),
+                                        tab.PolicyTable(np.ones((4, 1))), mdp, penalty)
+    assert np.allclose(argmin.values, optimum, rtol=0.0, atol=1e-14)
+
+    rows, ood_rows = np.repeat(np.arange(4), counts_u), np.repeat(np.arange(4), counts_d)
+    net = nn.Mlp([4, 1], [optimum[:, None], np.zeros(1)])
+    _, grads, gap = agent._penalized_regression(net, np.eye(4)[rows], targets[rows],
+                                                np.eye(4)[ood_rows], alpha, weight)
+    assert max(np.max(np.abs(g)) for g in grads) <= 1e-14
+    assert gap == pytest.approx(d.probs @ optimum - d_u.probs @ optimum, abs=1e-14)
+
+    # away from it the gradient does not vanish
+    net.params[0][1, 0] += 0.1
+    _, grads, _ = agent._penalized_regression(net, np.eye(4)[rows], targets[rows],
+                                              np.eye(4)[ood_rows], alpha, weight)
+    assert abs(grads[0][1, 0]) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +611,8 @@ def test_metric_log_schema(pointmass_setup):
     hp = tiny_hp(total_steps=20, batch_size=8, log_interval=10, eval_interval=20)
     for maker, kwargs in ((agent.train_agent, dict(model=model)),
                           (lambda d, hp, r, env: agent.awac_baseline(d, hp, r, env=env), {}),
-                          (lambda d, hp, r, env: agent.cql_awr_baseline(d, hp, r, env=env), {})):
+                          (lambda d, hp, r, env: agent.train_agent(d, None, hp, r, env=env,
+                                                                   algorithm="cql_awr"), {})):
         if kwargs:
             _, rows = maker(ds, kwargs["model"], hp, np.random.default_rng(0), env=env)
         else:
@@ -601,6 +684,22 @@ def test_checkpoint_round_trip(tmp_path, pointmass_setup):
                           agent.deterministic_action(bundle, state))
 
 
+def test_awac_trains_with_default_hp_and_no_model(pointmass_setup):
+    """awac fixes its own settings: the default hp ask for an adaptive alpha
+    and an exploration bonus, which would need a model."""
+    _, ds, _ = pointmass_setup
+    hp = agent.CsveHyperParams(total_steps=3, batch_size=8, hidden_sizes=(8, 8),
+                               n_action_samples=2, log_interval=1)
+    bundle, rows = agent.train_agent(ds, None, hp, np.random.default_rng(0),
+                                     algorithm="awac")
+    assert bundle.alpha == 0.0
+    assert [(r["alpha"], r["v_gap"]) for r in rows] == [(0.0, None)] * 3
+    fixed = agent.algorithm_hp(hp, "awac")
+    assert (fixed.adaptive_alpha, fixed.alpha_init, fixed.lambda_explore) == (False, 0.0, 0.0)
+    assert agent.algorithm_hp(hp, "cql_awr").adaptive_alpha is False
+    assert agent.algorithm_hp(hp, "csve") == hp
+
+
 def test_empty_dataset_rejected():
     ds = data.ContinuousTransitionDataset(np.zeros((0, 2)), np.zeros((0, 1)),
                                           np.zeros(0), np.zeros((0, 2)),
@@ -636,6 +735,116 @@ def test_smoke_first_1000_steps_finite_on_all_datasets():
 # ---------------------------------------------------------------------------
 # The training step against its first form
 # ---------------------------------------------------------------------------
+
+def reference_v_loss(bundle, batch, model, hp, rng, penalty_active, noise_variant):
+    """The V loss as first written, before it shared one core with the CQL critic."""
+    states = batch.states
+    n = states.shape[0]
+    adim = bundle.action_scale.shape[0]
+    mean, log_std, _, _ = agent.policy_distribution(bundle, states)
+    noise = rng.standard_normal((n, hp.n_action_samples, adim))
+    u = mean[..., None, :] + np.exp(log_std)[..., None, :] * noise
+    acts = bundle.action_scale * np.tanh(u)
+    sa = np.hstack([np.repeat(states, hp.n_action_samples, axis=0),
+                    acts.reshape(n * hp.n_action_samples, adim)])
+    target = bundle.q_target.forward(sa).reshape(n, hp.n_action_samples).mean(axis=1)
+    v_out, cache = bundle.v_net.forward_cache(states)
+    v = v_out[:, 0]
+    diff = target - v
+    loss = float(np.mean(diff * diff))
+    d_v = -2.0 * diff / n
+    gap = None
+    if penalty_active:
+        if noise_variant:
+            ood_states = states + np.sqrt(hp.noise_var) * rng.standard_normal(states.shape)
+        else:
+            pen_noise = rng.standard_normal((n, adim))
+            pen_actions = bundle.action_scale * np.tanh(mean + np.exp(log_std) * pen_noise)
+            ood_states, _ = model.sample_next_batch(states, pen_actions, rng)
+        v_ood_out, ood_cache = bundle.v_net.forward_cache(ood_states)
+        gap = float(np.mean(v_ood_out[:, 0]) - np.mean(v))
+        loss = loss + bundle.alpha * gap
+        d_v = d_v - bundle.alpha / n
+        grads, _ = bundle.v_net.backward(cache, d_v[:, None])
+        ood_grads, _ = bundle.v_net.backward(ood_cache, np.full((n, 1), bundle.alpha / n))
+        grads = [g + og for g, og in zip(grads, ood_grads)]
+    else:
+        grads, _ = bundle.v_net.backward(cache, d_v[:, None])
+    return loss, grads, gap
+
+
+def reference_cql_critic_loss(bundle, batch, hp, rng):
+    """The CQL critic loss as first written."""
+    states = batch.states
+    n = states.shape[0]
+    adim = bundle.action_scale.shape[0]
+    k = hp.n_action_samples
+
+    def sampled_rows(s):
+        mean, log_std, _, _ = agent.policy_distribution(bundle, s)
+        noise = rng.standard_normal((n, k, adim))
+        acts = bundle.action_scale * np.tanh(mean[..., None, :]
+                                             + np.exp(log_std)[..., None, :] * noise)
+        return np.hstack([np.repeat(s, k, axis=0), acts.reshape(n * k, adim)])
+
+    sa_pi = sampled_rows(states)
+    sa_next = sampled_rows(batch.next_states)
+    q_data_out, data_cache = bundle.q_net.forward_cache(np.hstack([states, batch.actions]))
+    q_data = q_data_out[:, 0]
+    q_pi_out, pi_cache = bundle.q_net.forward_cache(sa_pi)
+    q_pi = q_pi_out[:, 0].reshape(n, k)
+    q_next = bundle.q_target.forward(sa_next)[:, 0].reshape(n, k).mean(axis=1)
+    target = batch.rewards + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * q_next
+    penalty = float(np.mean(q_pi) - np.mean(q_data))
+    diff = q_data - target
+    loss = bundle.alpha * penalty + 0.5 * float(np.mean(diff * diff))
+    d_data = (diff / n - bundle.alpha / n)[:, None]
+    d_pi = np.full((n * k, 1), bundle.alpha / (n * k))
+    grads, _ = bundle.q_net.backward(data_cache, d_data)
+    grads_pi, _ = bundle.q_net.backward(pi_cache, d_pi)
+    return loss, [g + gp for g, gp in zip(grads, grads_pi)]
+
+
+def test_critic_losses_match_their_first_form_exactly(pointmass_setup):
+    """The V loss, the CQL critic and the Q loss through the shared core give
+    every bit of the losses as first written, and leave the stream where
+    they did."""
+    _, ds, model = pointmass_setup
+    hp = tiny_hp(n_action_samples=3, hidden_sizes=(16, 16))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        bundle = agent.init_bundle(ds.state_dim, ds.action_dim, [1.0, 1.0], hp, rng)
+        bundle.q_target = nn.Mlp.init(bundle.q_net.layer_sizes, rng)
+        bundle.alpha = 0.37 + 1.1 * seed  # neither alpha nor the 7 rows a power of 2
+        batch = agent._sample_batch(ds, 7, rng)
+        batch = batch._replace(dones=np.arange(7) % 3 == 0)
+        for penalty_active, noise_variant in ((False, False), (True, False), (True, True)):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = agent._v_loss_impl(bundle, batch, model, hp, got_rng,
+                                     penalty_active=penalty_active,
+                                     noise_variant=noise_variant)
+            want = reference_v_loss(bundle, batch, model, hp, want_rng, penalty_active,
+                                    noise_variant)
+            assert (got.loss, got.gap) == want[:1] + want[2:]
+            assert all(np.array_equal(g, w) for g, w in zip(got.grads, want[1]))
+            assert got_rng.random() == want_rng.random()
+
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        loss, grads = agent.cql_critic_loss(bundle, batch, hp, got_rng)
+        want_loss, want_grads = reference_cql_critic_loss(bundle, batch, hp, want_rng)
+        assert loss == want_loss
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+        assert got_rng.random() == want_rng.random()
+
+        loss, grads = agent.q_loss(bundle, batch, hp)
+        v_next = bundle.v_net.forward(batch.next_states)[:, 0]
+        target = batch.rewards + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * v_next
+        q_out, cache = bundle.q_net.forward_cache(np.hstack([batch.states, batch.actions]))
+        diff = target - q_out[:, 0]
+        assert loss == float(np.mean(diff * diff))
+        want_grads, _ = bundle.q_net.backward(cache, (-2.0 * diff / len(diff))[:, None])
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
 
 def reference_adam_step(state, params, grads):
     """The Adam update as first written: one temporary per operation."""

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,61 @@ def test_short_agent_checkpoint_is_io_error(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and err.count("\n") == 1
     assert "policy_net.bin" in err
+
+
+@pytest.mark.parametrize("sidecar, key", [("meta.json", "action_dim"),
+                                          ("model.json", "num_members"),
+                                          ("manifest.json", "hyper_params"),
+                                          ("manifest.json", "hidden_sizes")])
+def test_truncated_or_incomplete_json_sidecar_is_io_error(workspace, tmp_path, capsys,
+                                                          sidecar, key):
+    _, data_dir, model_dir = workspace
+    checkpoint = tmp_path / "t" / "checkpoint"
+    assert run(["train", "--data", data_dir, "--algorithm", "awac", "--total-steps", 1,
+                "--hidden-sizes", "8,8", "--no-eval", "true", "--out", tmp_path / "t"]) == 0
+    source = {"meta.json": data_dir, "model.json": model_dir,
+              "manifest.json": checkpoint}[sidecar]
+    text = (source / sidecar).read_text()
+    doc = json.loads(text)
+    del (doc["hyper_params"] if key == "hidden_sizes" else doc)[key]
+    for case, payload in (("truncated", text[:len(text) // 2]),
+                          ("missing_key", json.dumps(doc))):
+        bad = tmp_path / case
+        shutil.copytree(source, bad)
+        (bad / sidecar).write_text(payload)
+        out = tmp_path / f"{case}_out"
+        argv = {"meta.json": ["train", "--data", bad, "--algorithm", "awac"],
+                "model.json": ["train", "--data", data_dir, "--model", bad],
+                "manifest.json": ["eval", "--data", data_dir, "--checkpoint", bad,
+                                  "--episodes", 1]}[sidecar]
+        if argv[0] == "train":
+            argv += ["--total-steps", 1, "--hidden-sizes", "8,8"]
+        capsys.readouterr()
+        assert run([*argv, "--out", out]) == 4, case
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+        assert sidecar in err
+        if case == "missing_key":
+            assert key in err
+        assert not (out / "metrics.csv").exists() and not (out / "eval.csv").exists()
+
+
+def test_baseline_manifests_record_the_settings_they_trained_with(workspace, tmp_path):
+    _, data_dir, model_dir = workspace
+    fixed = {"awac": dict(adaptive_alpha=False, alpha_init=0.0, lambda_explore=0.0),
+             "cql_awr": dict(adaptive_alpha=False)}
+    for algorithm, settings in fixed.items():
+        out = tmp_path / algorithm
+        assert run(["train", "--data", data_dir, "--model", model_dir,
+                    "--algorithm", algorithm, "--total-steps", 2, "--hidden-sizes", "8,8",
+                    "--alpha-init", 3.0, "--adaptive-alpha", "true",
+                    "--lambda-explore", 0.2, "--no-eval", "true", "--out", out]) == 0
+        manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+        hp = manifest["hyper_params"]
+        assert {name: hp[name] for name in settings} == settings
+        assert manifest["alpha"] == hp["alpha_init"]  # alpha never moved
+        assert hp["lambda_explore"] == settings.get("lambda_explore", 0.2)
+        assert "\n2," in (out / "metrics.csv").read_text()
 
 
 def test_config_file_defaults_and_flag_override(workspace, tmp_path):

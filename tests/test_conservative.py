@@ -368,7 +368,7 @@ def test_alpha_threshold_point_mass_arithmetic():
     penalty = cons.CsvePenaltyConfig(0.0, dist(1.0, 0.0), dist(0.5, 0.5))
     policy = tab.PolicyTable(np.ones((2, 1)))
     threshold = cons.alpha_threshold(mdp, mdp, policy, penalty, ds, sem)
-    numerator = tab.sampling_error_bound(ds, sem, mdp, policy, 0)
+    numerator = tab.sampling_error_vector(ds, sem, mdp, policy)[0]
     assert threshold == pytest.approx(numerator)  # denominator is exactly 1
 
 

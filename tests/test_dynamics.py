@@ -118,11 +118,11 @@ def test_minimum_variance_member_samples_its_mean():
     model = perfect_linear_model(*linear_system_dataset(n=10)[1])
     state = np.array([0.3, -0.2])
     action = np.array([0.4])
-    nxt, reward = model.sample_next(state, action, np.random.default_rng(0))
+    nxt, reward = model.sample_next_batch(state, action, np.random.default_rng(0))
     mean_next, mean_reward = model.mean_prediction(state, action)
     floor = 6.0 * np.exp(nn.LOG_STD_MIN)
-    assert np.max(np.abs(nxt - mean_next[0])) < floor
-    assert abs(reward - mean_reward[0]) < floor
+    assert np.max(np.abs(nxt - mean_next)) < floor
+    assert np.max(np.abs(reward - mean_reward)) < floor
 
 
 def test_sampling_is_seed_reproducible(trained_linear):

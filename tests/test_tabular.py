@@ -302,7 +302,7 @@ def test_rollout_dataset_matches_choice_loop(slip):
 
 
 # ---------------------------------------------------------------------------
-# dataset_state_marginal / sampling_error_bound
+# dataset_state_marginal / sampling_error_vector
 # ---------------------------------------------------------------------------
 
 def test_marginal_trivial_cases():
@@ -337,7 +337,7 @@ def test_sampling_error_bound_zero_constant():
     mdp = chain_mdp(0.5)
     ds = tab.TabularDataset.from_transitions([(0, 0, 0.0, 1)], 2, 1)
     sem = tab.SamplingErrorModel(c_r=0.0, c_p=0.0, c_rt=0.0)
-    assert tab.sampling_error_bound(ds, sem, mdp, single_policy(2), 0) == 0.0
+    assert tab.sampling_error_vector(ds, sem, mdp, single_policy(2))[0] == 0.0
 
 
 def test_sampling_error_bound_deterministic_policy():
@@ -345,7 +345,7 @@ def test_sampling_error_bound_deterministic_policy():
     ds = tab.TabularDataset.from_transitions([(0, 0, 0.0, 1)] * 4, 2, 1)
     sem = tab.SamplingErrorModel(c_r=0.0, c_p=0.0, c_rt=1.0)
     # c * r_max / ((1 - gamma) * sqrt(4)) = 1 / (0.5 * 2)
-    assert tab.sampling_error_bound(ds, sem, mdp, single_policy(2), 0) == pytest.approx(1.0)
+    assert tab.sampling_error_vector(ds, sem, mdp, single_policy(2))[0] == pytest.approx(1.0)
 
 
 def test_sampling_error_bound_mixed_policy_brute_force():
@@ -356,7 +356,7 @@ def test_sampling_error_bound_mixed_policy_brute_force():
     ds = tab.TabularDataset.from_transitions(rows, 1, 2)
     sem = tab.SamplingErrorModel(c_r=0.0, c_p=0.0, c_rt=1.0)
     policy = tab.PolicyTable(np.array([[0.5, 0.5]]))
-    got = tab.sampling_error_bound(ds, sem, mdp, policy, 0)
+    got = tab.sampling_error_vector(ds, sem, mdp, policy)[0]
     brute = sum(policy.probs[0, a] * sem.c_rt * mdp.r_max
                 / ((1 - mdp.discount) * np.sqrt(ds.count_sa[0, a]))
                 for a in range(2))
@@ -368,7 +368,7 @@ def test_unvisited_count_floor_is_used():
     mdp = chain_mdp(0.5)
     ds = tab.TabularDataset.from_transitions([(1, 0, 1.0, 1)], 2, 1)
     sem = tab.SamplingErrorModel(c_r=0.0, c_p=0.0, c_rt=1.0, unvisited_count_floor=0.01)
-    got = tab.sampling_error_bound(ds, sem, mdp, single_policy(2), 0)
+    got = tab.sampling_error_vector(ds, sem, mdp, single_policy(2))[0]
     assert got == pytest.approx(1.0 / (0.5 * np.sqrt(0.01)))
 
 

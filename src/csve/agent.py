@@ -164,6 +164,15 @@ def _policy_rows(bundle, states, dist, k, rng):
     return np.hstack([np.repeat(states, k, axis=0), actions.reshape(n * k, adim)])
 
 
+def _reparam_actions(bundle, dist, rng):
+    """One squashed action per state, reparameterised: u = mean + std * eps
+    with eps drawn from ``rng``; returns (actions, tanh(u), eps)."""
+    mean, log_std = dist[0], dist[1]
+    eps = rng.standard_normal(mean.shape)
+    tanh_u = np.tanh(mean + np.exp(log_std) * eps)
+    return bundle.action_scale * tanh_u, tanh_u, eps
+
+
 def _mean_q(net, rows, k):
     """Per-state mean of ``net`` over the k rows :func:`_policy_rows` gave each state."""
     return net.forward(rows)[:, 0].reshape(-1, k).mean(axis=1)
@@ -234,9 +243,7 @@ def _v_loss_impl(bundle: AgentBundle, batch: Batch, model, hp: CsveHyperParams,
     if penalty_active and noise_variant:
         ood_states = states + np.sqrt(hp.noise_var) * rng.standard_normal(states.shape)
     elif penalty_active:
-        mean, log_std = dist[0], dist[1]
-        pen_noise = rng.standard_normal(mean.shape)
-        pen_actions = bundle.action_scale * np.tanh(mean + np.exp(log_std) * pen_noise)
+        pen_actions, _, _ = _reparam_actions(bundle, dist, rng)
         ood_states, _ = model.sample_next_batch(states, pen_actions, rng)
     loss, grads, gap = _penalized_regression(bundle.v_net, states, target, ood_states,
                                              bundle.alpha, 1.0)
@@ -314,9 +321,11 @@ def _awr_cotangent(bundle, batch, hp, dist, advantage):
                             coeff * d_log_std * nn.clamp_log_std_mask(raw)])
 
 
-def _reparam_cotangent(dist, eps, d_u):
-    """Cotangent on the policy head outputs from d_u on u = mean + std * eps."""
+def _reparam_cotangent(bundle, dist, tanh_u, eps, d_actions):
+    """Cotangent on the policy head outputs from ``d_actions`` on the actions
+    :func:`_reparam_actions` drew as scale * tanh(u), u = mean + std * eps."""
     _, log_std, raw, _ = dist
+    d_u = d_actions * bundle.action_scale * (1.0 - tanh_u ** 2)
     return np.hstack([d_u, d_u * np.exp(log_std) * eps * nn.clamp_log_std_mask(raw)])
 
 
@@ -346,14 +355,10 @@ def explore_policy_loss(bundle: AgentBundle, batch: Batch,
     states = batch.states
     n = states.shape[0]
     dist = dist or policy_distribution(bundle, states)
-    mean, log_std, _, cache = dist
     awr_loss, cot = _awr_cotangent(bundle, batch, hp, dist,
                                    _critic_advantage(bundle, batch))
 
-    eps = rng.standard_normal(mean.shape)
-    u = mean + np.exp(log_std) * eps
-    tanh_u = np.tanh(u)
-    actions = bundle.action_scale * tanh_u
+    actions, tanh_u, eps = _reparam_actions(bundle, dist, rng)
     next_states, rewards, pullback = model.mean_prediction_with_action_grad(states, actions)
     v_out, v_cache = bundle.v_net.forward_cache(next_states)
     bonus = float(np.mean(rewards + hp.gamma * v_out[:, 0]))
@@ -362,8 +367,8 @@ def explore_policy_loss(bundle: AgentBundle, batch: Batch,
     scale = hp.lambda_explore / n
     d_next = bundle.v_net.input_grad(v_cache, np.full((n, 1), -scale * hp.gamma))
     d_actions = pullback(d_next, np.full(n, -scale))
-    d_u = d_actions * bundle.action_scale * (1.0 - tanh_u ** 2)
-    grads, _ = bundle.policy_net.backward(cache, cot + _reparam_cotangent(dist, eps, d_u))
+    cot = cot + _reparam_cotangent(bundle, dist, tanh_u, eps, d_actions)
+    grads, _ = bundle.policy_net.backward(dist[3], cot)
     return PolicyLossResult(_check_finite(loss, "policy loss"), awr_loss, grads)
 
 
@@ -402,7 +407,6 @@ def cql_actor_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
     n = states.shape[0]
     k = hp.n_action_samples
     dist = dist or policy_distribution(bundle, states)
-    mean, log_std, _, cache = dist
 
     q_baseline = _mean_q(bundle.q_net, _policy_rows(bundle, states, dist, k, rng), k)
     q_data = bundle.q_net.forward(np.hstack([states, batch.actions]))[:, 0]
@@ -410,16 +414,13 @@ def cql_actor_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
 
     loss = awr
     if hp.lambda_explore > 0.0:
-        eps = rng.standard_normal(mean.shape)
-        tanh_u = np.tanh(mean + np.exp(log_std) * eps)
-        actions = bundle.action_scale * tanh_u
+        actions, tanh_u, eps = _reparam_actions(bundle, dist, rng)
         q_out, q_cache = bundle.q_net.forward_cache(np.hstack([states, actions]))
         bonus = float(np.mean(q_out[:, 0]))
         loss = awr - hp.lambda_explore * bonus
         d_sa = bundle.q_net.input_grad(q_cache, np.full((n, 1), -hp.lambda_explore / n))
-        d_u = d_sa[:, states.shape[1]:] * bundle.action_scale * (1.0 - tanh_u ** 2)
-        cot = cot + _reparam_cotangent(dist, eps, d_u)
-    grads, _ = bundle.policy_net.backward(cache, cot)
+        cot = cot + _reparam_cotangent(bundle, dist, tanh_u, eps, d_sa[:, states.shape[1]:])
+    grads, _ = bundle.policy_net.backward(dist[3], cot)
     return PolicyLossResult(_check_finite(loss, "policy loss"), awr, grads)
 
 
@@ -489,6 +490,11 @@ def train_agent(dataset: ContinuousTransitionDataset,
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if dataset.size == 0:
         raise InputError("cannot train on an empty dataset")
+    if model is not None and (model.state_dim, model.action_dim) != (dataset.state_dim,
+                                                                     dataset.action_dim):
+        raise InputError(f"the dynamics model has state_dim {model.state_dim} and "
+                         f"action_dim {model.action_dim} but the dataset has "
+                         f"{dataset.state_dim} and {dataset.action_dim}")
     hp = algorithm_hp(hp, algorithm)
     noise_variant = algorithm == "csve_noise" or (
         algorithm == "csve" and hp.ood_variant == "gaussian_noise")

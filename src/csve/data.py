@@ -76,24 +76,21 @@ def _policy_for_phase(env, tier: str, phase: float):
     return scripted_policy(env, "medium", mix=mix)
 
 
-def _collect(env, policy, size: int, rng) -> tuple[list, list[float]]:
-    """Roll episodes until ``size`` transitions are gathered (last episode
-    truncated); returns rows and the returns of the completed episodes."""
-    rows = []
+def _collect(env, policy, size: int, rng, columns) -> list[float]:
+    """Roll episodes until ``size`` more transitions are gathered, the last
+    episode truncated, appending each episode's states, actions, rewards,
+    next states and dones as one array to the matching list of ``columns``;
+    returns the returns of the episodes that ended before the last one, or
+    the last one's when none did."""
     episode_returns = []
-    while len(rows) < size:
-        states, actions, rewards, next_states, dones, total = rollout(env, policy, rng)
-        for tr in zip(states, actions, rewards, next_states, dones):
-            rows.append(tr)
-            if len(rows) == size:
-                break
-        else:
-            episode_returns.append(total)
-            continue
-        break
-    if not episode_returns:
+    while True:
+        *episode, total = rollout(env, policy, rng)
+        for column, values in zip(columns, episode):
+            column.append(np.array(values[:size]))
+        size -= len(episode[0])
+        if size <= 0:
+            return episode_returns or [total]
         episode_returns.append(total)
-    return rows, episode_returns
 
 
 def generate_dataset(env, tier: str, size: int, seed: int,
@@ -113,32 +110,29 @@ def generate_dataset(env, tier: str, size: int, seed: int,
     seq = np.random.SeedSequence(seed)
     gen_rng, random_rng, expert_rng = (np.random.default_rng(s) for s in seq.spawn(3))
 
-    rows: list = []
-    behavior_returns: list[float] = []
+    columns: tuple[list, ...] = ([], [], [], [], [])
     if tier in ("random", "medium", "expert"):
-        rows, behavior_returns = _collect(env, scripted_policy(env, tier), size, gen_rng)
+        behavior_returns = _collect(env, scripted_policy(env, tier), size, gen_rng, columns)
         composition = {tier: size}
     elif tier == "medium_expert":
         first = size // 2
-        rows_m, rets_m = _collect(env, scripted_policy(env, "medium"), first, gen_rng)
-        rows_e, rets_e = _collect(env, scripted_policy(env, "expert"), size - first, gen_rng)
-        rows = rows_m + rows_e
-        behavior_returns = rets_m + rets_e
+        behavior_returns = (
+            _collect(env, scripted_policy(env, "medium"), first, gen_rng, columns)
+            + _collect(env, scripted_policy(env, "expert"), size - first, gen_rng, columns))
         composition = {"medium": first, "expert": size - first}
     else:  # medium_replay
         phases = 5
         composition = {}
+        behavior_returns = []
         for j in range(phases):
             share = size // phases if j < phases - 1 else size - (phases - 1) * (size // phases)
             if share == 0:
                 continue
             policy = _policy_for_phase(env, tier, j / (phases - 1))
-            part, rets = _collect(env, policy, share, gen_rng)
-            rows.extend(part)
-            behavior_returns.extend(rets)
+            behavior_returns.extend(_collect(env, policy, share, gen_rng, columns))
             composition[f"phase_{j}"] = share
 
-    states, actions, rewards, next_states, dones = (np.array(col) for col in zip(*rows))
+    states, actions, rewards, next_states, dones = (np.concatenate(col) for col in columns)
     random_anchor = float(np.mean(evaluate_policy(env, scripted_policy(env, "random"),
                                                   anchor_episodes, random_rng)))
     expert_anchor = float(np.mean(evaluate_policy(env, scripted_policy(env, "expert"),
@@ -216,14 +210,26 @@ def read_json(path, keys=()) -> dict:
 
 
 def load_dataset(directory) -> ContinuousTransitionDataset:
+    """The dataset saved in ``directory``.  A ``transitions.bin`` that is not
+    whole records of the declared dims, holds another number of records than
+    ``meta.json``'s size, or holds a non-finite value raises
+    CorruptFileError naming it."""
     directory = Path(directory)
-    meta = read_json(directory / "meta.json", ("state_dim", "action_dim"))
+    meta = read_json(directory / "meta.json", ("size", "state_dim", "action_dim"))
     s_dim, a_dim = meta["state_dim"], meta["action_dim"]
     width = 2 * s_dim + a_dim + 2
-    raw = np.frombuffer((directory / "transitions.bin").read_bytes(), dtype="<f8")
+    path = directory / "transitions.bin"
+    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
     if raw.size % width:
-        raise InputError("transitions.bin length does not match the declared dims")
+        raise CorruptFileError(f"{path} is not whole records of {width} values "
+                               f"(state_dim {s_dim}, action_dim {a_dim})")
     rec = raw.reshape(-1, width)
+    if len(rec) != meta["size"]:
+        raise CorruptFileError(f"{path} holds {len(rec)} records but "
+                               f"{directory / 'meta.json'} declares size {meta['size']}")
+    bad = np.flatnonzero(~np.isfinite(rec).all(axis=1))
+    if bad.size:
+        raise CorruptFileError(f"{path} record {bad[0]} holds a non-finite value")
     return _from_records(rec, s_dim, a_dim, meta)
 
 

@@ -131,21 +131,16 @@ class EnsembleDynamicsModel:
         denorm = out * self.out_std + self.out_mean
         return states + denorm[:, :self.state_dim], denorm[:, self.state_dim]
 
-    def mean_prediction(self, states, actions):
-        """Deterministic ensemble-average mean prediction (next states, rewards)."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        acc = np.zeros((states.shape[0], self.state_dim + 1))
-        for b in range(self.num_members):
-            mean, _ = self.member_gaussian(b, states, actions)
-            acc += mean
+    def _mean_from_sum(self, states, acc):
+        """(next states, rewards) from ``acc``, the sum of the members'
+        normalized means."""
         denorm = acc / self.num_members * self.out_std + self.out_mean
         return states + denorm[:, :self.state_dim], denorm[:, self.state_dim]
 
     def mean_prediction_with_action_grad(self, states, actions):
-        """Like :meth:`mean_prediction` but also returns a pullback mapping
-        cotangents on (next_state, reward) to gradients on the actions; member
-        parameters are never differentiated."""
+        """Deterministic ensemble-average mean prediction (next states,
+        rewards) and a pullback mapping cotangents on (next_state, reward) to
+        gradients on the actions; member parameters are never differentiated."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         x = self._inputs(states, actions)
@@ -154,9 +149,7 @@ class EnsembleDynamicsModel:
         acc = np.zeros((states.shape[0], dim))
         for member_out in out:
             acc += member_out[:, :dim]
-        denorm = acc / self.num_members * self.out_std + self.out_mean
-        next_states = states + denorm[:, :self.state_dim]
-        rewards = denorm[:, self.state_dim]
+        next_states, rewards = self._mean_from_sum(states, acc)
 
         def pullback(cot_next, cot_reward):
             # cotangent on the normalized mean outputs, shared by all members
@@ -275,16 +268,18 @@ def model_error_report(model: EnsembleDynamicsModel,
     ensemble mean, per-member errors and the spread between member means."""
     if dataset.size == 0:
         raise InputError("holdout dataset is empty")
-    mean_next, mean_reward = model.mean_prediction(dataset.states, dataset.actions)
     member_l2 = []
     member_means = []
+    acc = np.zeros((dataset.size, model.state_dim + 1))
     for b in range(model.num_members):
         mean, _ = model.member_gaussian(b, dataset.states, dataset.actions)
+        acc += mean
         denorm = mean * model.out_std + model.out_mean
         nxt = dataset.states + denorm[:, :model.state_dim]
         member_means.append(nxt)
         member_l2.append(float(np.mean(np.linalg.norm(nxt - dataset.next_states, axis=1))))
     stack = np.stack(member_means)
+    mean_next, mean_reward = model._mean_from_sum(dataset.states, acc)
     return ModelErrorReport(
         mean_l2=float(np.mean(np.linalg.norm(mean_next - dataset.next_states, axis=1))),
         member_l2=member_l2,

@@ -5,20 +5,48 @@ double-integrator point mass, an 8x8 slippery gridworld (with an exact
 tabular bridge) and torque-limited pendulum swing-up.  Environments are
 value types: ``step(state, action, rng)`` is a pure function of its
 arguments and the caller owns the RNG.
+
+A scripted rollout is a few float operations per step, so the point mass,
+the gridworld and the scripted tiers compute on Python floats: numpy calls
+on 2-element arrays would cost more than the physics.  Two kinds of numpy
+call stay, because their results are part of every dataset's bytes:
+
+* the point mass's two dot products (the goal distance, ``sqrt(d . d)``,
+  and the action cost ``a . a``) stay ``ndarray.dot`` calls, that is BLAS
+  ``ddot``, as in ``np.linalg.norm``.  OpenBLAS's ddot computes a
+  2-vector's ``x*x + y*y`` with a fused multiply-add, ``fma(y, y, x*x)``,
+  which Python's float arithmetic cannot spell: over 300,000 random
+  vectors, ``math.sqrt(x*x + y*y)`` rounded differently on 8% of them and
+  ``math.hypot`` on 14%;
+* the pendulum keeps numpy's sin, cos and arctan2, which may round
+  differently from the C library's ``math`` functions.
+
+Random draws are the ones numpy's samplers take: ``rng.random(n)`` doubles
+mapped by ``low + (high - low) * u``, the arithmetic of
+``Generator.uniform``, and a gridworld tier's direction counted from one
+double through the ``tabular.choice_cdf`` table, as
+``Generator.choice(p=...)`` counts it.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
-from .tabular import PolicyTable, TabularMdp, optimal_value_iteration
+from .tabular import PolicyTable, TabularMdp, choice_cdf, optimal_value_iteration
 
 ENV_NAMES = ("gridworld", "pointmass2d", "pendulum")
 TIERS = ("random", "medium", "expert")
 DATASET_TIERS = ("random", "medium", "medium_replay", "medium_expert", "expert")
+
+
+def _clip(x: float, bound: float) -> float:
+    """``x`` clipped to [-bound, bound], as ``np.clip`` does (NaN stays NaN)."""
+    return -bound if x < -bound else (bound if x > bound else x)
 
 
 @dataclass(frozen=True)
@@ -50,7 +78,7 @@ class PointMass2d:
     episode ends inside goal radius 0.05."""
 
     DT = 0.05
-    GOAL = np.array([1.0, 1.0])
+    GOAL = (1.0, 1.0)
     GOAL_RADIUS = 0.05
     V_MAX = 1.0
     POS_MAX = 2.0
@@ -66,7 +94,7 @@ class PointMass2d:
             action_low=-np.ones(2),
             action_high=np.ones(2),
             horizon=200,
-            physics={"dt": self.DT, "goal": self.GOAL.tolist(),
+            physics={"dt": self.DT, "goal": list(self.GOAL),
                      "goal_radius": self.GOAL_RADIUS},
         )
 
@@ -77,19 +105,28 @@ class PointMass2d:
     def step(self, state, action, rng):
         del rng  # dynamics are deterministic
         state = np.asarray(state, dtype=np.float64)
-        if state.shape != (4,) or not np.all(np.isfinite(state)):
+        values = state.tolist()
+        if state.shape != (4,) or not all(map(math.isfinite, values)):
             raise InputError("point-mass state must be a finite 4-vector")
-        a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        vel = np.clip(state[2:] + a * self.DT, -self.V_MAX, self.V_MAX)
-        pos = np.clip(state[:2] + vel * self.DT, -self.POS_MAX, self.POS_MAX)
-        dist = float(np.linalg.norm(pos - self.GOAL))
-        reward = -dist - 0.01 * float(a @ a)
-        return np.concatenate([pos, vel]), reward, dist < self.GOAL_RADIUS
+        px, py, vx, vy = values
+        ax, ay = np.asarray(action, dtype=np.float64).tolist()
+        ax, ay = _clip(ax, 1.0), _clip(ay, 1.0)
+        vx = _clip(vx + ax * self.DT, self.V_MAX)
+        vy = _clip(vy + ay * self.DT, self.V_MAX)
+        px = _clip(px + vx * self.DT, self.POS_MAX)
+        py = _clip(py + vy * self.DT, self.POS_MAX)
+        to_goal = np.array((px - self.GOAL[0], py - self.GOAL[1]))
+        a = np.array((ax, ay))
+        dist = math.sqrt(to_goal.dot(to_goal))
+        reward = -dist - 0.01 * float(a.dot(a))
+        return np.array((px, py, vx, vy)), reward, dist < self.GOAL_RADIUS
 
     def expert_action(self, state, rng):
         del rng
-        pos, vel = state[:2], state[2:]
-        return np.clip(2.0 * (self.GOAL - pos) - 2.4 * vel, -1.0, 1.0)
+        px, py, vx, vy = state.tolist()
+        gx, gy = self.GOAL
+        return np.array((_clip(2.0 * (gx - px) - 2.4 * vx, 1.0),
+                         _clip(2.0 * (gy - py) - 2.4 * vy, 1.0)))
 
     def medium_action(self, state, rng):
         """Weak-gain tracker toward the goal plus exploration noise.  The
@@ -98,10 +135,13 @@ class PointMass2d:
         recovering the expert; the faster in-data actions still reach the
         goal, leaving room for offline improvement."""
         kp, kd = self.MEDIUM_GAINS
-        pos, vel = state[:2], state[2:]
-        drive = kp * (self.GOAL - pos) - kd * vel
-        return np.clip(drive + rng.uniform(-self.MEDIUM_NOISE, self.MEDIUM_NOISE,
-                                           size=2), -1.0, 1.0)
+        px, py, vx, vy = state.tolist()
+        gx, gy = self.GOAL
+        low = -self.MEDIUM_NOISE
+        span = self.MEDIUM_NOISE - low
+        ux, uy = rng.random(2).tolist()
+        return np.array((_clip(kp * (gx - px) - kd * vx + (low + span * ux), 1.0),
+                         _clip(kp * (gy - py) - kd * vy + (low + span * uy), 1.0)))
 
 
 class GridWorld:
@@ -155,10 +195,10 @@ class GridWorld:
     def decode_action(action) -> int:
         """Dominant-component decoding of a 2-d box action: component 0 picks
         down/up (rows), component 1 picks right/left (columns)."""
-        a = np.asarray(action, dtype=np.float64)
-        if abs(a[1]) >= abs(a[0]):
-            return 0 if a[1] > 0 else 1
-        return 2 if a[0] > 0 else 3
+        a_row, a_col = (float(a) for a in action)
+        if abs(a_col) >= abs(a_row):
+            return 0 if a_col > 0 else 1
+        return 2 if a_row > 0 else 3
 
     @staticmethod
     def encode_action(direction: int) -> np.ndarray:
@@ -179,7 +219,8 @@ class GridWorld:
         index = self.state_index(state)
         if self.is_terminal_index(index):
             raise InputError("stepping a terminal gridworld state")
-        direction = self.decode_action(np.clip(action, -1.0, 1.0))
+        direction = self.decode_action(
+            [_clip(a, 1.0) for a in np.asarray(action, dtype=np.float64).tolist()])
         if rng.random() < self.slip:
             direction = int(rng.integers(4))
         row, col = self._move(index // self.SIZE, index % self.SIZE, direction)
@@ -306,7 +347,10 @@ MEDIUM_UNIFORM_RATE = {"pointmass2d": 0.0, "pendulum": 0.5}
 
 
 def _uniform_action(spec: EnvSpec, rng):
-    return rng.uniform(spec.action_low, spec.action_high)
+    """``rng.uniform(spec.action_low, spec.action_high)``: the same doubles
+    through the same arithmetic, without its argument handling."""
+    low = spec.action_low
+    return low + (spec.action_high - low) * rng.random(spec.action_dim)
 
 
 def scripted_policy(env, tier: str, mix: float | None = None):
@@ -327,12 +371,12 @@ def scripted_policy(env, tier: str, mix: float | None = None):
     spec = env.spec
     if isinstance(env, GridWorld):
         epsilon = GRIDWORLD_TIER_EPSILON[tier] if mix is None else mix
-        table = env.epsilon_greedy_table(env.tabular_mdp(), epsilon)
+        cdf = choice_cdf(env.epsilon_greedy_table(env.tabular_mdp(), epsilon).probs).tolist()
 
         def grid_policy(state, rng):
-            idx = env.state_index(state)
-            direction = rng.choice(4, p=table.probs[idx])
-            return GridWorld.encode_action(int(direction))
+            # rng.choice(4, p=probs[state]): one double u, then the count of cdf <= u
+            row = cdf[env.state_index(state)]
+            return GridWorld.encode_action(bisect.bisect_right(row, rng.random()))
 
         return grid_policy
 
@@ -359,14 +403,15 @@ def rollout(env, policy, rng: np.random.Generator, horizon: int | None = None):
     """One episode; returns (states, actions, rewards, next_states, dones,
     episode_return)."""
     horizon = env.spec.horizon if horizon is None else horizon
+    low, high = env.spec.action_low, env.spec.action_high
     states, actions, rewards, next_states, dones = [], [], [], [], []
     state = env.reset(rng)
     total = 0.0
     for _ in range(horizon):
-        action = np.clip(policy(state, rng), env.spec.action_low, env.spec.action_high)
+        action = np.minimum(np.maximum(policy(state, rng), low), high)  # np.clip, faster
         nxt, reward, done = env.step(state, action, rng)
         states.append(state)
-        actions.append(np.atleast_1d(action))
+        actions.append(action)
         rewards.append(reward)
         next_states.append(nxt)
         dones.append(done)

@@ -201,6 +201,51 @@ def test_truncated_or_incomplete_json_sidecar_is_io_error(workspace, tmp_path, c
         assert not (out / "metrics.csv").exists() and not (out / "eval.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["size_mismatch", "nan_state", "inf_next_state",
+                                  "partial_record"])
+def test_inconsistent_or_non_finite_dataset_is_io_error(workspace, tmp_path, capsys, case):
+    _, data_dir, _ = workspace
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    meta = json.loads((bad / "meta.json").read_text())
+    width = 2 * meta["state_dim"] + meta["action_dim"] + 2
+    records = np.frombuffer((bad / "transitions.bin").read_bytes(), dtype="<f8").copy()
+    records = records.reshape(-1, width)
+    if case == "size_mismatch":
+        meta["size"] = 999_999
+        (bad / "meta.json").write_text(json.dumps(meta))
+    elif case == "nan_state":
+        records[17, 1] = np.nan
+    elif case == "inf_next_state":
+        records[-1, width - 2] = -np.inf
+    payload = records.astype("<f8").tobytes()
+    (bad / "transitions.bin").write_bytes(payload[:-8] if case == "partial_record"
+                                          else payload)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", "--data", bad, "--algorithm", "awac", "--total-steps", 1,
+                "--hidden-sizes", "8,8", "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+    assert "transitions.bin" in err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_model_of_other_dims_is_config_error(workspace, tmp_path, capsys):
+    _, _, model_dir = workspace
+    pendulum = tmp_path / "pendulum"
+    assert run(["gen-data", "--env", "pendulum", "--tier", "random", "--size", 200,
+                "--out", pendulum]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", "--data", pendulum, "--model", model_dir, "--algorithm", "csve",
+                "--total-steps", 1, "--hidden-sizes", "8,8", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "state_dim 4" in err and "action_dim 2" in err and "3 and 1" in err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_baseline_manifests_record_the_settings_they_trained_with(workspace, tmp_path):
     _, data_dir, model_dir = workspace
     fixed = {"awac": dict(adaptive_alpha=False, alpha_init=0.0, lambda_explore=0.0),

@@ -77,7 +77,7 @@ def test_single_repeated_transition_converges_to_target():
     config = dynamics.EnsembleConfig(num_members=1, hidden_sizes=(16,),
                                      max_epochs=200, patience=20)
     model = dynamics.train_ensemble(ds, config, np.random.default_rng(2))
-    nxt, reward = model.mean_prediction(s[:1], a[:1])
+    nxt, reward, _ = model.mean_prediction_with_action_grad(s[:1], a[:1])
     assert np.max(np.abs(nxt[0] - ns[0])) < 1e-3
     assert abs(reward[0] - 0.7) < 1e-3
 
@@ -119,7 +119,7 @@ def test_minimum_variance_member_samples_its_mean():
     state = np.array([0.3, -0.2])
     action = np.array([0.4])
     nxt, reward = model.sample_next_batch(state, action, np.random.default_rng(0))
-    mean_next, mean_reward = model.mean_prediction(state, action)
+    mean_next, mean_reward, _ = model.mean_prediction_with_action_grad(state, action)
     floor = 6.0 * np.exp(nn.LOG_STD_MIN)
     assert np.max(np.abs(nxt - mean_next)) < floor
     assert np.max(np.abs(reward - mean_reward)) < floor
@@ -201,8 +201,8 @@ def test_action_gradient_pullback_matches_finite_differences(trained_linear):
             up, down = actions.copy(), actions.copy()
             up[i, j] += h
             down[i, j] -= h
-            nu, ru = model.mean_prediction(states, up)
-            nd, rd = model.mean_prediction(states, down)
+            nu, ru, _ = model.mean_prediction_with_action_grad(states, up)
+            nd, rd, _ = model.mean_prediction_with_action_grad(states, down)
             fd = (np.sum(nu * cot_next) + np.sum(ru * cot_rew)
                   - np.sum(nd * cot_next) - np.sum(rd * cot_rew)) / (2 * h)
             assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
@@ -239,8 +239,6 @@ def test_ensemble_passes_match_member_by_member_reference_exactly():
     assert np.array_equal(nxt, states + denorm[:, :2])
     assert np.array_equal(rew, denorm[:, 2])
     assert np.array_equal(pullback(cot_next, cot_rew), grad_x[:, 2:] / model.in_std[2:])
-    mean_next, mean_rew = model.mean_prediction(states, actions)
-    assert np.array_equal(mean_next, nxt) and np.array_equal(mean_rew, rew)
 
     draw, want_rng = np.random.default_rng(8), np.random.default_rng(8)
     got_next, got_rew = model.sample_next_batch(states, actions, draw)
@@ -254,6 +252,44 @@ def test_ensemble_passes_match_member_by_member_reference_exactly():
     sample = sample * model.out_std + model.out_mean
     assert np.array_equal(got_next, states + sample[:, :2])
     assert np.array_equal(got_rew, sample[:, 2])
+
+
+def _two_pass_error_report(model, dataset):
+    """model_error_report as first written: the ensemble mean from one pass
+    over the members (the mean_prediction it called), then every member again
+    in its own loop."""
+    acc = np.zeros((dataset.size, model.state_dim + 1))
+    for b in range(model.num_members):
+        acc += model.member_gaussian(b, dataset.states, dataset.actions)[0]
+    denorm = acc / model.num_members * model.out_std + model.out_mean
+    mean_next = dataset.states + denorm[:, :model.state_dim]
+    mean_reward = denorm[:, model.state_dim]
+    member_l2, member_means = [], []
+    for b in range(model.num_members):
+        mean, _ = model.member_gaussian(b, dataset.states, dataset.actions)
+        denorm = mean * model.out_std + model.out_mean
+        nxt = dataset.states + denorm[:, :model.state_dim]
+        member_means.append(nxt)
+        member_l2.append(float(np.mean(np.linalg.norm(nxt - dataset.next_states, axis=1))))
+    return dynamics.ModelErrorReport(
+        mean_l2=float(np.mean(np.linalg.norm(mean_next - dataset.next_states, axis=1))),
+        member_l2=member_l2,
+        disagreement=float(np.mean(np.stack(member_means).std(axis=0))),
+        reward_mae=float(np.mean(np.abs(mean_reward - dataset.rewards))),
+    )
+
+
+def test_model_error_report_runs_each_member_once_with_two_pass_bits():
+    rng = np.random.default_rng(12)
+    model = random_ensemble(rng, num_members=4)
+    dataset, _ = linear_system_dataset(n=700, seed=3)
+    want = _two_pass_error_report(model, dataset)
+    calls = []
+    for member in model.members:
+        forward = member.forward
+        member.forward = lambda x, forward=forward: calls.append(1) or forward(x)
+    assert dynamics.model_error_report(model, dataset) == want
+    assert len(calls) == model.num_members
 
 
 def test_members_of_different_shapes_rejected():

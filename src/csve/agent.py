@@ -212,9 +212,11 @@ def _penalized_regression(net, x, targets, x_ood, alpha, weight):
     out_ood, ood_cache = net.forward_cache(x_ood)
     gap = float(np.mean(out_ood[:, 0]) - np.mean(pred))
     grads, _ = net.backward(cache, (d_pred - alpha / n)[:, None])
-    m = len(x_ood)
-    ood_grads, _ = net.backward(ood_cache, np.full((m, 1), alpha / m))
-    return loss + alpha * gap, [g + og for g, og in zip(grads, ood_grads)], gap
+    if alpha != 0.0:  # at alpha 0 the OOD rows' gradients are all zero
+        m = len(x_ood)
+        ood_grads, _ = net.backward(ood_cache, np.full((m, 1), alpha / m))
+        grads = [g + og for g, og in zip(grads, ood_grads)]
+    return loss + alpha * gap, grads, gap
 
 
 class VLossResult(NamedTuple):

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agent, data, dynamics, envs, theory
-from .errors import ConfigError, CorruptFileError, CsveError, DivergenceError
+from .errors import ConfigError, CorruptFileError, CsveError, DivergenceError, InputError
 
 CSV_SCHEMA_VERSION = 1
 METRIC_COLUMNS = ("step", "loss_v", "loss_q", "loss_pi", "alpha", "v_gap",
@@ -245,6 +245,12 @@ def cmd_eval(args) -> int:
     env = envs.make_env(dataset.meta["env"])
     if checkpoint:
         bundle, _, _ = agent.load_agent(checkpoint)
+        sizes = bundle.policy_net.layer_sizes
+        dims = (sizes[0], sizes[-1] // 2)
+        if dims != (dataset.state_dim, dataset.action_dim):
+            raise InputError(f"the checkpoint {checkpoint} has state_dim {dims[0]} and "
+                             f"action_dim {dims[1]} but the dataset {data_dir} has "
+                             f"{dataset.state_dim} and {dataset.action_dim}")
 
         def policy(state, _rng):
             return agent.deterministic_action(bundle, state)

@@ -113,21 +113,28 @@ class EnsembleDynamicsModel:
 
     def sample_next_batch(self, states, actions, rng: np.random.Generator):
         """One-step samples: each row picks a uniformly random member, samples
-        its Gaussian and denormalizes.  Returns (next_states, rewards)."""
+        its Gaussian and denormalizes.  Returns (next_states, rewards).
+
+        The rows are stably sorted by member, so each member runs once on a
+        contiguous slice holding its rows in their original order (the bits
+        of a pass over those rows alone); the Gaussian draw then runs once
+        over all rows before they are put back in order."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         n = states.shape[0]
         dim = self.state_dim + 1
         picks = rng.integers(self.num_members, size=n)
         noise = rng.standard_normal((n, dim))
-        x = self._inputs(states, actions)
+        order = np.argsort(picks, kind="stable")
+        x = self._inputs(states, actions)[order]
+        head = np.empty((n, 2 * dim))
+        start = 0
+        for member, count in zip(self.members, np.bincount(picks, minlength=self.num_members)):
+            if count:
+                head[start:start + count] = member.forward(x[start:start + count])
+            start += count
         out = np.empty((n, dim))
-        for b, member in enumerate(self.members):
-            sel = picks == b
-            if not np.any(sel):
-                continue
-            head = member.forward(x[sel])
-            out[sel] = head[:, :dim] + np.exp(nn.clamp_log_std(head[:, dim:])) * noise[sel]
+        out[order] = head[:, :dim] + np.exp(nn.clamp_log_std(head[:, dim:])) * noise[order]
         denorm = out * self.out_std + self.out_mean
         return states + denorm[:, :self.state_dim], denorm[:, self.state_dim]
 
@@ -185,9 +192,11 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
     """
     if dataset.size == 0:
         raise InputError("cannot train a dynamics model on an empty dataset")
-    inputs = np.hstack([dataset.states, dataset.actions])
-    targets = np.hstack([dataset.next_states - dataset.states,
-                         dataset.rewards[:, None]])
+    # raw inputs and targets, normalized in place below: the only copy of the
+    # data; every minibatch is gathered from it through the bootstrap indices
+    x_all = np.hstack([dataset.states, dataset.actions])
+    y_all = np.hstack([dataset.next_states - dataset.states,
+                       dataset.rewards[:, None]])
     n = dataset.size
     n_holdout = max(1, int(round(config.holdout_fraction * n)))
     if n_holdout >= n:
@@ -195,12 +204,14 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
     perm = rng.permutation(n)
     train_idx, holdout_idx = perm[n_holdout:], perm[:n_holdout]
 
-    in_mean = inputs[train_idx].mean(axis=0)
-    in_std = np.maximum(inputs[train_idx].std(axis=0), STD_FLOOR)
-    out_mean = targets[train_idx].mean(axis=0)
-    out_std = np.maximum(targets[train_idx].std(axis=0), STD_FLOOR)
-    x_all = (inputs - in_mean) / in_std
-    y_all = (targets - out_mean) / out_std
+    in_mean = x_all[train_idx].mean(axis=0)
+    in_std = np.maximum(x_all[train_idx].std(axis=0), STD_FLOOR)
+    out_mean = y_all[train_idx].mean(axis=0)
+    out_std = np.maximum(y_all[train_idx].std(axis=0), STD_FLOOR)
+    x_all -= in_mean
+    x_all /= in_std
+    y_all -= out_mean
+    y_all /= out_std
 
     state_dim = dataset.state_dim
     target_dim = state_dim + 1
@@ -211,7 +222,6 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
     global_step = 0
     for b in range(config.num_members):
         boot = rng.choice(train_idx, size=train_idx.size, replace=True)
-        x_tr, y_tr = x_all[boot], y_all[boot]
         member = nn.Mlp.init(sizes, rng)
         opt = nn.adam_init(member.params, config.learning_rate)
         best_params = [p.copy() for p in member.params]
@@ -219,11 +229,11 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
         stale = 0
         member_train, member_hold = [], []
         for epoch in range(config.max_epochs):
-            order = rng.permutation(x_tr.shape[0])
+            order = boot[rng.permutation(boot.size)]
             epoch_losses = []
-            for start in range(0, x_tr.shape[0], config.batch_size):
+            for start in range(0, boot.size, config.batch_size):
                 sel = order[start:start + config.batch_size]
-                xb, yb = x_tr[sel], y_tr[sel]
+                xb, yb = x_all[sel], y_all[sel]
                 out, cache = member.forward_cache(xb)
                 mean, raw = out[:, :target_dim], out[:, target_dim:]
                 log_std = nn.clamp_log_std(raw)
@@ -265,26 +275,41 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
 def model_error_report(model: EnsembleDynamicsModel,
                        dataset: ContinuousTransitionDataset) -> ModelErrorReport:
     """One-step prediction quality on held-out transitions: L2 error of the
-    ensemble mean, per-member errors and the spread between member means."""
+    ensemble mean, per-member errors and the spread between member means.
+
+    The rows run in the blocks of :func:`nn.row_blocks`, every member over
+    one block at a time, and only running sums outlive a block, so the
+    report's memory does not grow with the dataset.  A dataset of one block
+    gives the bits of one pass over all rows.  Over several blocks each mean
+    is a sum of block sums divided by n and the output layer runs per block,
+    so a value may move in its last bit.
+    """
     if dataset.size == 0:
         raise InputError("holdout dataset is empty")
-    member_l2 = []
-    member_means = []
-    acc = np.zeros((dataset.size, model.state_dim + 1))
-    for b in range(model.num_members):
-        mean, _ = model.member_gaussian(b, dataset.states, dataset.actions)
-        acc += mean
-        denorm = mean * model.out_std + model.out_mean
-        nxt = dataset.states + denorm[:, :model.state_dim]
-        member_means.append(nxt)
-        member_l2.append(float(np.mean(np.linalg.norm(nxt - dataset.next_states, axis=1))))
-    stack = np.stack(member_means)
-    mean_next, mean_reward = model._mean_from_sum(dataset.states, acc)
+    n, dim = dataset.size, model.state_dim
+    member_sums = np.zeros(model.num_members)
+    mean_sum = spread_sum = reward_sum = 0.0
+    bounds = nn.row_blocks(n, max(model.members[0].layer_sizes[1:]))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        states, next_states = dataset.states[start:stop], dataset.next_states[start:stop]
+        x = model._inputs(states, dataset.actions[start:stop])
+        acc = np.zeros((stop - start, dim + 1))
+        member_next = np.empty((model.num_members, stop - start, dim))
+        for b, member in enumerate(model.members):
+            mean = member.forward(x)[:, :dim + 1]
+            acc += mean
+            denorm = mean * model.out_std + model.out_mean
+            member_next[b] = states + denorm[:, :dim]
+            member_sums[b] += np.sum(np.linalg.norm(member_next[b] - next_states, axis=1))
+        mean_next, mean_reward = model._mean_from_sum(states, acc)
+        mean_sum += np.sum(np.linalg.norm(mean_next - next_states, axis=1))
+        spread_sum += np.sum(member_next.std(axis=0))
+        reward_sum += np.sum(np.abs(mean_reward - dataset.rewards[start:stop]))
     return ModelErrorReport(
-        mean_l2=float(np.mean(np.linalg.norm(mean_next - dataset.next_states, axis=1))),
-        member_l2=member_l2,
-        disagreement=float(np.mean(stack.std(axis=0))),
-        reward_mae=float(np.mean(np.abs(mean_reward - dataset.rewards))),
+        mean_l2=float(mean_sum / n),
+        member_l2=[float(total / n) for total in member_sums],
+        disagreement=float(spread_sum / (n * dim)),
+        reward_mae=float(reward_sum / n),
     )
 
 

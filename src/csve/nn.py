@@ -20,7 +20,7 @@ LOG_STD_MIN = -10.0
 LOG_STD_MAX = 2.0
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
-# Row blocks of Mlp.forward: 2^16 float64 (512 KiB) per layer output.
+# Row blocks (row_blocks): 2^16 float64 (512 KiB) per layer output.
 _BLOCK_FLOATS = 2 ** 16
 _MIN_BLOCK_ROWS = 128
 _ROW_ALIGN = 64
@@ -29,6 +29,21 @@ _MAGIC = b"MLPCKPT\x00"
 _BLOB_VERSION = 1
 _ACTIVATION_CODES = {"relu": 0, "tanh": 1}
 _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
+
+
+def row_blocks(rows: int, widest: int) -> list[int]:
+    """Bounds ``[0, ..., rows]`` of the row blocks in which a pass over
+    ``rows`` rows, whose widest layer output has ``widest`` columns, keeps
+    each block's activations small: as few blocks as keep every layer output
+    within ``_BLOCK_FLOATS`` floats, but no block under ``_MIN_BLOCK_ROWS``
+    rows, every block starting on a multiple of ``_ROW_ALIGN`` rows, and the
+    blocks as near equal as that allows (about 2,000 rows a block at
+    width 32)."""
+    n_blocks = min(-(-rows * widest // _BLOCK_FLOATS), rows // _MIN_BLOCK_ROWS)
+    if n_blocks <= 1:
+        return [0, rows]
+    units = rows // _ROW_ALIGN
+    return [_ROW_ALIGN * (units * i // n_blocks) for i in range(n_blocks)] + [rows]
 
 
 class Mlp:
@@ -79,14 +94,11 @@ class Mlp:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Output alone, for batches that need no backward pass.
 
-        A critic (a network with one output) runs a large batch in row
-        blocks, so that each block's activations stay in a core's L2 cache:
-        as few blocks as keep every layer output within ``_BLOCK_FLOATS``
-        floats, but no block under ``_MIN_BLOCK_ROWS`` rows, every block
-        starting on a multiple of ``_ROW_ALIGN`` rows, and the blocks as
-        near equal as that allows.  A batch that fits in one block, and any
-        batch of a network with several outputs, runs as one pass.  Each
-        block is one ``forward_cache`` call whose cache is dropped with it.
+        A critic (a network with one output) runs a large batch in the row
+        blocks of :func:`row_blocks`, so that each block's activations stay
+        in a core's L2 cache.  A batch that fits in one block, and any batch
+        of a network with several outputs, runs as one pass.  Each block is
+        one ``forward_cache`` call whose cache is dropped with it.
 
         Blocking keeps every output bit.  Each output row is a set of dot
         products of that input row alone, and the BLAS kernels sum them in
@@ -101,12 +113,9 @@ class Mlp:
         """
         x = np.asarray(x, dtype=np.float64)
         rows = x.shape[0] if x.ndim == 2 else 1
-        widest = max(self.layer_sizes[1:])
-        n_blocks = min(-(-rows * widest // _BLOCK_FLOATS), rows // _MIN_BLOCK_ROWS)
-        if self.layer_sizes[-1] != 1 or n_blocks <= 1:
+        bounds = row_blocks(rows, max(self.layer_sizes[1:]))
+        if self.layer_sizes[-1] != 1 or len(bounds) <= 2:
             return self.forward_cache(x)[0]
-        units = rows // _ROW_ALIGN
-        bounds = [_ROW_ALIGN * (units * i // n_blocks) for i in range(n_blocks)] + [rows]
         out = np.empty((rows, 1))
         for start, stop in zip(bounds[:-1], bounds[1:]):
             out[start:stop] = self.forward_cache(x[start:stop])[0]

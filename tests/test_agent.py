@@ -227,6 +227,31 @@ def test_penalized_regression_gradient_matches_finite_differences(weight, with_o
 
 
 @pytest.mark.parametrize("weight", [1.0, 0.5])
+def test_penalized_regression_at_alpha_zero_skips_only_a_zero_backward(weight):
+    """At alpha 0 the OOD backward is skipped; loss, gap and gradients keep
+    the bits of the data backward plus the all-zero OOD one."""
+    rng = np.random.default_rng(22)
+    net = nn.Mlp.init([3, 16, 16, 1], rng)
+    x, targets, x_ood = rng.normal(size=(64, 3)), rng.normal(size=64), rng.normal(size=(64, 3))
+    backwards = []
+    backward = net.backward
+    net.backward = lambda cache, cot: backwards.append(1) or backward(cache, cot)
+    loss, grads, gap = agent._penalized_regression(net, x, targets, x_ood, 0.0, weight)
+    assert len(backwards) == 1
+
+    out, cache = net.forward_cache(x)
+    out_ood, ood_cache = net.forward_cache(x_ood)
+    diff = out[:, 0] - targets
+    want_gap = float(np.mean(out_ood[:, 0]) - np.mean(out[:, 0]))
+    data_grads, _ = backward(cache, (2.0 * weight * diff / 64 - 0.0 / 64)[:, None])
+    ood_grads, _ = backward(ood_cache, np.full((64, 1), 0.0 / 64))
+    assert loss == weight * float(np.mean(diff * diff)) + 0.0 * want_gap
+    assert gap == want_gap
+    for got, g, og in zip(grads, data_grads, ood_grads):
+        assert np.array_equal(got, g + og)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.5])
 def test_penalized_regression_one_hot_optimum_is_the_tabular_one(weight):
     """One-hot states and a linear net, data rows on state s with share d_u(s)
     and penalized rows with share d(s): the gradient vanishes at

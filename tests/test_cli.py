@@ -321,6 +321,27 @@ def test_eval_checkpoint_scores_recorded(workspace, tmp_path):
     assert len(lines) == 2 + 5
 
 
+def test_eval_checkpoint_of_other_dims_is_config_error(workspace, tmp_path, capsys):
+    _, data_dir, _ = workspace
+    train_out = tmp_path / "pointmass"
+    assert run(["train", "--data", data_dir, "--algorithm", "awac", "--total-steps", 1,
+                "--batch-size", 8, "--hidden-sizes", "8,8", "--no-eval", "true",
+                "--out", train_out]) == 0
+    pendulum = tmp_path / "pendulum"
+    assert run(["gen-data", "--env", "pendulum", "--tier", "random", "--size", 200,
+                "--out", pendulum]) == 0
+    out = tmp_path / "eval"
+    checkpoint = train_out / "checkpoint"
+    capsys.readouterr()
+    assert run(["eval", "--data", pendulum, "--checkpoint", checkpoint,
+                "--episodes", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(checkpoint) in err and str(pendulum) in err
+    assert "state_dim 4" in err and "action_dim 2" in err and "3 and 1" in err
+    assert not (out / "eval.csv").exists()
+
+
 def test_eval_needs_exactly_one_policy_source(workspace, tmp_path):
     _, data_dir, _ = workspace
     assert run(["eval", "--data", data_dir, "--episodes", 2,

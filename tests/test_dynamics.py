@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,38 @@ def test_model_error_report_runs_each_member_once_with_two_pass_bits():
         member.forward = lambda x, forward=forward: calls.append(1) or forward(x)
     assert dynamics.model_error_report(model, dataset) == want
     assert len(calls) == model.num_members
+
+
+ONE_BLOCK = nn._BLOCK_FLOATS // 32  # rows of one report block at width 32
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("rows, blocks", [(1, 1), (ONE_BLOCK, 1), (ONE_BLOCK + 1, 2),
+                                          (7 * ONE_BLOCK // 2, 4)])
+def test_model_error_report_in_row_blocks_matches_two_pass_report(seed, rows, blocks):
+    rng = np.random.default_rng(30 + seed)
+    model = random_ensemble(rng, num_members=4, hidden=(32, 32))
+    dataset, _ = linear_system_dataset(n=rows, seed=seed)
+    assert len(nn.row_blocks(rows, 32)) - 1 == blocks
+    got = dynamics.model_error_report(model, dataset)
+    want = _two_pass_error_report(model, dataset)
+    for name in ("mean_l2", "member_l2", "disagreement", "reward_mae"):
+        assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0)
+
+
+def test_model_error_report_memory_does_not_grow_with_rows():
+    rng = np.random.default_rng(5)
+    model = random_ensemble(rng, num_members=5, hidden=(32, 32))
+    peaks = []
+    for rows in (4_000, 40_000):
+        dataset, _ = linear_system_dataset(n=rows, seed=1)
+        tracemalloc.start()
+        try:
+            dynamics.model_error_report(model, dataset)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 20, peaks
 
 
 def test_members_of_different_shapes_rejected():

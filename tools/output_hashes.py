@@ -16,6 +16,9 @@ thread count pinned to 1 and every stage seeded with ``--seed``:
   followed by ``eval`` of its checkpoint;
 * 50-step paper-size ``train`` of csve and cql_awr on the 5,000-row set
   (b256, 256x256, k10, no evaluation);
+* a ``sweep`` of csve over ``tau_budget`` 5 and 10 with the desk model, one
+  seed, 200 desk-size steps on the 20,000-row set, so that the model-error
+  report reaches a file (``sweep.csv``'s ``model_mean_l2``);
 * ``verify-theory --suite all``.
 
 Prints one ``md5  path`` line per output file, paths relative to the work
@@ -39,8 +42,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from csve import cli, data, envs  # noqa: E402
 
-DESK = ["--batch-size", 128, "--hidden-sizes", "32,32", "--n-action-samples", 4,
-        "--total-steps", 600, "--log-interval", 100, "--eval-interval", 300,
+DESK_SIZE = ["--batch-size", 128, "--hidden-sizes", "32,32", "--n-action-samples", 4]
+DESK = [*DESK_SIZE, "--total-steps", 600, "--log-interval", 100, "--eval-interval", 300,
         "--n-eval", 5]
 PAPER = ["--batch-size", 256, "--hidden-sizes", "256,256", "--n-action-samples", 10,
          "--total-steps", 50, "--log-interval", 10, "--no-eval", "true"]
@@ -70,6 +73,10 @@ def commands(seed: int, work: Path):
     for algorithm in ("csve", "cql_awr"):
         runs.append(["train", "--data", paper_data, "--model", work / "model" / "paper",
                      "--algorithm", algorithm, *PAPER, "--out", work / "paper" / algorithm])
+    runs.append(["sweep", "--data", desk_data, "--model", work / "model" / "desk",
+                 "--param", "tau_budget", "--values", "5,10", "--seeds", 1,
+                 *DESK_SIZE, "--total-steps", 200, "--log-interval", 100,
+                 "--eval-interval", 100, "--n-eval", 5, "--out", work / "sweep"])
     runs.append(["verify-theory", "--suite", "all", "--out", work / "theory"])
     return [[str(a) for a in argv] + ["--seed", str(seed)] for argv in runs]
 

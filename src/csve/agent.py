@@ -118,17 +118,17 @@ def init_bundle(state_dim: int, action_dim: int, action_scale, hp: CsveHyperPara
     v_net = nn.Mlp.init([state_dim, *hidden, 1], rng)
     q_net = nn.Mlp.init([state_dim + action_dim, *hidden, 1], rng)
     policy_net = nn.Mlp.init([state_dim, *hidden, 2 * action_dim], rng, final_scale=0.01)
-    return AgentBundle(
-        v_net=v_net,
-        q_net=q_net,
-        q_target=q_net.copy(),
-        policy_net=policy_net,
-        alpha=hp.alpha_init,
-        action_scale=np.asarray(action_scale, dtype=np.float64),
-        opt_v=nn.adam_init(v_net.params, hp.lr_critic),
-        opt_q=nn.adam_init(q_net.params, hp.lr_critic),
-        opt_policy=nn.adam_init(policy_net.params, hp.lr_actor),
-    )
+    return _fresh_bundle(hp, hp.alpha_init, action_scale, v_net, q_net, q_net.copy(),
+                         policy_net)
+
+
+def _fresh_bundle(hp, alpha, action_scale, v_net, q_net, q_target, policy_net) -> AgentBundle:
+    """The networks with zeroed optimizer states at ``hp``'s learning rates."""
+    return AgentBundle(v_net, q_net, q_target, policy_net, alpha,
+                       np.asarray(action_scale, dtype=np.float64),
+                       nn.adam_init(v_net.flat, hp.lr_critic),
+                       nn.adam_init(q_net.flat, hp.lr_critic),
+                       nn.adam_init(policy_net.flat, hp.lr_actor))
 
 
 def policy_distribution(bundle: AgentBundle, states: np.ndarray):
@@ -215,13 +215,13 @@ def _penalized_regression(net, x, targets, x_ood, alpha, weight):
     if alpha != 0.0:  # at alpha 0 the OOD rows' gradients are all zero
         m = len(x_ood)
         ood_grads, _ = net.backward(ood_cache, np.full((m, 1), alpha / m))
-        grads = [g + og for g, og in zip(grads, ood_grads)]
+        grads.flat += ood_grads.flat
     return loss + alpha * gap, grads, gap
 
 
 class VLossResult(NamedTuple):
     loss: float
-    grads: list
+    grads: nn.FlatViews
     gap: float | None   # E[V(ood)] - E[V(data)], None when the penalty is off
 
 
@@ -252,14 +252,6 @@ def _v_loss_impl(bundle: AgentBundle, batch: Batch, model, hp: CsveHyperParams,
     return VLossResult(_check_finite(loss, "v loss"), grads, gap)
 
 
-def v_loss_noise_variant(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
-                         rng: np.random.Generator) -> VLossResult:
-    """Model-free variant: the penalized states are the batch states plus
-    isotropic Gaussian noise of variance ``hp.noise_var``."""
-    return _v_loss_impl(bundle, batch, None, hp, rng, penalty_active=True,
-                        noise_variant=True)
-
-
 def q_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams):
     """TD regression Q(s,a) -> r + gamma * V(s'); V is a fixed target and
     gradients reach the Q network only.  Terminal transitions do not
@@ -273,20 +265,13 @@ def q_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams):
 
 def target_update(bundle: AgentBundle, hp: CsveHyperParams) -> None:
     """Soft interpolation Q_target <- (1 - omega) Q_target + omega Q."""
-    bundle.q_target.params = nn.polyak_update(bundle.q_target.params,
-                                              bundle.q_net.params, hp.omega)
+    nn.polyak_update(bundle.q_target.flat, bundle.q_net.flat, hp.omega)
 
 
-def alpha_update(bundle: AgentBundle, batch: Batch, model, hp: CsveHyperParams,
-                 rng: np.random.Generator, gap: float | None = None) -> float:
+def alpha_update(bundle: AgentBundle, hp: CsveHyperParams, gap: float) -> float:
     """Dual-ascent step on the penalty weight against the budget:
-    alpha <- max(0, alpha + lr_alpha * (gap - tau)).  The gap defaults to a
-    fresh batch estimate of E[V(s')] - E[V(s)]."""
-    if gap is None:
-        noise_variant = hp.ood_variant == "gaussian_noise"
-        result = _v_loss_impl(bundle, batch, model, hp, rng, penalty_active=True,
-                              noise_variant=noise_variant)
-        gap = result.gap
+    alpha <- max(0, alpha + lr_alpha * (gap - tau)), gap being the V loss's
+    E[V(s')] - E[V(s)]."""
     bundle.alpha = max(0.0, bundle.alpha + hp.lr_alpha * (gap - hp.tau_budget))
     return bundle.alpha
 
@@ -298,7 +283,7 @@ def alpha_update(bundle: AgentBundle, batch: Batch, model, hp: CsveHyperParams,
 class PolicyLossResult(NamedTuple):
     loss: float          # total actor loss (awr - lambda * bonus)
     awr_loss: float      # weighted log-likelihood component alone
-    grads: list
+    grads: nn.FlatViews
 
 
 def _critic_advantage(bundle, batch):
@@ -492,11 +477,8 @@ def train_agent(dataset: ContinuousTransitionDataset,
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if dataset.size == 0:
         raise InputError("cannot train on an empty dataset")
-    if model is not None and (model.state_dim, model.action_dim) != (dataset.state_dim,
-                                                                     dataset.action_dim):
-        raise InputError(f"the dynamics model has state_dim {model.state_dim} and "
-                         f"action_dim {model.action_dim} but the dataset has "
-                         f"{dataset.state_dim} and {dataset.action_dim}")
+    if model is not None:
+        model.check_dims(dataset)
     hp = algorithm_hp(hp, algorithm)
     noise_variant = algorithm == "csve_noise" or (
         algorithm == "csve" and hp.ood_variant == "gaussian_noise")
@@ -520,27 +502,23 @@ def train_agent(dataset: ContinuousTransitionDataset,
             if algorithm == "cql_awr":
                 loss_v, gap = None, None
                 loss_q, q_grads = cql_critic_loss(bundle, batch, hp, rng, dist)
-                bundle.q_net.params, bundle.opt_q = nn.adam_step(
-                    bundle.opt_q, bundle.q_net.params, q_grads)
+                nn.adam_step(bundle.opt_q, bundle.q_net.flat, q_grads.flat)
                 pi = cql_actor_loss(bundle, batch, hp, rng, dist)
             else:
                 v_result = _v_loss_impl(bundle, batch, model, hp, rng,
                                         penalty_active=uses_penalty,
                                         noise_variant=noise_variant, dist=dist)
                 loss_v, gap = v_result.loss, v_result.gap
-                bundle.v_net.params, bundle.opt_v = nn.adam_step(
-                    bundle.opt_v, bundle.v_net.params, v_result.grads)
+                nn.adam_step(bundle.opt_v, bundle.v_net.flat, v_result.grads.flat)
                 if uses_penalty and hp.adaptive_alpha:
-                    alpha_update(bundle, batch, model, hp, rng, gap=gap)
+                    alpha_update(bundle, hp, gap)
                 loss_q, q_grads = q_loss(bundle, batch, hp)
-                bundle.q_net.params, bundle.opt_q = nn.adam_step(
-                    bundle.opt_q, bundle.q_net.params, q_grads)
+                nn.adam_step(bundle.opt_q, bundle.q_net.flat, q_grads.flat)
                 if hp.lambda_explore > 0.0:
                     pi = explore_policy_loss(bundle, batch, model, hp, rng, dist)
                 else:
                     pi = awr_policy_loss(bundle, batch, hp, dist)
-            bundle.policy_net.params, bundle.opt_policy = nn.adam_step(
-                bundle.opt_policy, bundle.policy_net.params, pi.grads)
+            nn.adam_step(bundle.opt_policy, bundle.policy_net.flat, pi.grads.flat)
             target_update(bundle, hp)
         except DivergenceError as err:
             raise DivergenceError(str(err), step=step) from None
@@ -563,12 +541,6 @@ def train_agent(dataset: ContinuousTransitionDataset,
                     bundle, env, hp.n_eval, eval_rng)
             rows.append(row)
     return bundle, rows
-
-
-def awac_baseline(dataset, hp: CsveHyperParams, rng, env=None):
-    """The same loop with the state penalty and exploration bonus structurally
-    removed (and alpha pinned to zero), whatever ``hp`` asks for."""
-    return train_agent(dataset, None, hp, rng, env=env, algorithm="awac")
 
 
 # ---------------------------------------------------------------------------
@@ -603,21 +575,10 @@ def load_agent(directory):
     """Returns (bundle, hp, manifest); optimizer states are freshly zeroed."""
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json", ("alpha", "action_scale", "hyper_params"))
-    nets = {name: nn.load_mlp_file(directory / f"{name}.bin")[0] for name in _NETS}
+    nets = [nn.load_mlp_file(directory / f"{name}.bin")[0] for name in _NETS]
     hp_doc = manifest["hyper_params"]
     try:
         hp = CsveHyperParams(**{**hp_doc, "hidden_sizes": tuple(hp_doc["hidden_sizes"])})
     except (KeyError, TypeError) as err:
         raise CorruptFileError(f"{directory / 'manifest.json'} hyper_params: {err}") from None
-    bundle = AgentBundle(
-        v_net=nets["v_net"],
-        q_net=nets["q_net"],
-        q_target=nets["q_target"],
-        policy_net=nets["policy_net"],
-        alpha=manifest["alpha"],
-        action_scale=np.asarray(manifest["action_scale"], dtype=np.float64),
-        opt_v=nn.adam_init(nets["v_net"].params, hp.lr_critic),
-        opt_q=nn.adam_init(nets["q_net"].params, hp.lr_critic),
-        opt_policy=nn.adam_init(nets["policy_net"].params, hp.lr_actor),
-    )
-    return bundle, hp, manifest
+    return _fresh_bundle(hp, manifest["alpha"], manifest["action_scale"], *nets), hp, manifest

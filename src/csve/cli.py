@@ -60,10 +60,6 @@ def _log(out_dir: Path, message: str) -> None:
         fh.write(f"{stamp} {message}\n")
 
 
-def _metric_rows_for_csv(rows):
-    return [{col: row.get(col) for col in METRIC_COLUMNS} for row in rows]
-
-
 # ---------------------------------------------------------------------------
 # Config resolution
 # ---------------------------------------------------------------------------
@@ -94,6 +90,12 @@ def _coerce(raw: str, kind):
         return kind(raw)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+
+
+def _at_least_one(value: int, name: str) -> int:
+    if value < 1:
+        raise ConfigError(f"--{name} must be at least 1, got {value}")
+    return value
 
 
 def resolve(args: argparse.Namespace, section: str, name: str, kind, default):
@@ -194,10 +196,10 @@ def _run_training(dataset_dir, model_dir, algorithm, hp, seed, out_dir,
     bundle, rows = agent.train_agent(dataset, model, hp, rng, env=env, algorithm=algorithm)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "metrics.csv", METRIC_COLUMNS, _metric_rows_for_csv(rows))
+    write_csv(out_dir / "metrics.csv", METRIC_COLUMNS, rows)
     agent.save_agent(bundle, hp, hp.total_steps, out_dir / "checkpoint",
                      algorithm=algorithm)
-    return dataset, bundle, rows
+    return dataset, rows
 
 
 def _final_score(dataset, rows):
@@ -221,8 +223,8 @@ def cmd_train(args) -> int:
     no_eval = resolve(args, "train", "no_eval", bool, False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset, _, rows = _run_training(data_dir, model_dir, algorithm, hp, args.seed,
-                                     out, evaluate=not no_eval)
+    dataset, rows = _run_training(data_dir, model_dir, algorithm, hp, args.seed,
+                                  out, evaluate=not no_eval)
     _log(out, f"train algorithm={algorithm} data={data_dir} seed={args.seed} "
               f"steps={hp.total_steps}")
     score = _final_score(dataset, rows)
@@ -238,7 +240,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs --data for the environment and anchors")
     checkpoint = resolve(args, "eval", "checkpoint", str, None)
     scripted = resolve(args, "eval", "scripted", str, None)
-    episodes = resolve(args, "eval", "episodes", int, 10)
+    episodes = _at_least_one(resolve(args, "eval", "episodes", int, 10), "episodes")
     if (checkpoint is None) == (scripted is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --scripted")
     dataset = data.load_dataset(data_dir)
@@ -300,16 +302,13 @@ def cmd_verify_theory(args) -> int:
 
 
 def _sweep_point(payload):
-    """One sweep run; executed in a worker process."""
-    data_dir, model_dir, algorithm, hp_doc, param, value, seed, run_dir = payload
+    """One sweep run; executed in a worker process.  ``model_error`` is the
+    mean L2 of the sweep's model; a model_frac point trains its own model
+    and reports on that one."""
+    data_dir, model_dir, algorithm, hp, param, value, seed, run_dir, model_error = payload
+    row = {"param": param, "value": value, "seed": seed, "final_score": None,
+           "final_loss_pi": None, "model_mean_l2": None}
     try:
-        hp_doc = dict(hp_doc)
-        if param != "model_frac":
-            hp_doc[param] = value
-        hp_doc["hidden_sizes"] = tuple(hp_doc["hidden_sizes"])
-        hp = agent.CsveHyperParams(**hp_doc)
-        actual_model_dir = model_dir
-        model_error = None
         if param == "model_frac":
             # degrade the model by training it on a prefix of the data
             dataset = data.load_dataset(data_dir)
@@ -322,30 +321,16 @@ def _sweep_point(payload):
                 sub, dynamics.EnsembleConfig(num_members=3, hidden_sizes=(32, 32),
                                              max_epochs=30),
                 np.random.default_rng(seed + 977))
-            run_dir = Path(run_dir)
-            run_dir.mkdir(parents=True, exist_ok=True)
-            dynamics.save_model(model, run_dir / "model")
-            actual_model_dir = run_dir / "model"
+            model_dir = Path(run_dir) / "model"
+            dynamics.save_model(model, model_dir)
             model_error = dynamics.model_error_report(model, dataset).mean_l2
-        dataset, _, rows = _run_training(data_dir, actual_model_dir, algorithm, hp,
-                                         seed, run_dir)
-        if model_error is None and actual_model_dir:
-            model = dynamics.load_model(actual_model_dir)
-            model_error = dynamics.model_error_report(
-                model, data.load_dataset(data_dir)).mean_l2
-        score = _final_score(dataset, rows)
+        dataset, rows = _run_training(data_dir, model_dir, algorithm, hp, seed, run_dir)
         pi_losses = [r["loss_pi"] for r in rows if r.get("loss_pi") is not None]
-        return {
-            "param": param, "value": value, "seed": seed,
-            "final_score": score,
-            "final_loss_pi": pi_losses[-1] if pi_losses else None,
-            "model_mean_l2": model_error,
-            "status": "ok",
-        }
+        return {**row, "final_score": _final_score(dataset, rows),
+                "final_loss_pi": pi_losses[-1] if pi_losses else None,
+                "model_mean_l2": model_error, "status": "ok"}
     except DivergenceError as err:
-        return {"param": param, "value": value, "seed": seed, "final_score": None,
-                "final_loss_pi": None, "model_mean_l2": None,
-                "status": f"diverged@{err.step}"}
+        return {**row, "status": f"diverged@{err.step}"}
 
 
 def cmd_sweep(args) -> int:
@@ -354,28 +339,35 @@ def cmd_sweep(args) -> int:
     values_raw = resolve(args, "sweep", "values", str, None)
     if data_dir is None or param is None or values_raw is None:
         raise ConfigError("sweep needs --data, --param and --values")
-    if param != "model_frac" and param not in _HP_KINDS:
-        raise ConfigError(f"unknown sweep parameter {param!r}")
+    kind = float if param == "model_frac" else _HP_KINDS.get(param)
+    if kind not in (int, float):
+        raise ConfigError(f"sweep parameter {param!r} is not a numeric hyper-parameter "
+                          f"or model_frac")
     model_dir = resolve(args, "sweep", "model", str, None)
     algorithm = resolve(args, "sweep", "algorithm", str, "csve")
-    n_seeds = resolve(args, "sweep", "seeds", int, 3)
-    workers = resolve(args, "sweep", "workers", int, 1)
+    n_seeds = _at_least_one(resolve(args, "sweep", "seeds", int, 3), "seeds")
+    workers = _at_least_one(resolve(args, "sweep", "workers", int, 1), "workers")
     hp = _hyper_params(args, "sweep")
-    values = [float(v) for v in values_raw.split(",") if v]
+    values = [_coerce(v, kind) for v in values_raw.split(",") if v]
     if not values:
         raise ConfigError("sweep grid is empty")
+    # every point's settings are checked before any point runs
+    point_hps = [hp if param == "model_frac" else dataclasses.replace(hp, **{param: value})
+                 for value in values]
+    model_error = None
+    if model_dir and param != "model_frac":
+        model_error = dynamics.model_error_report(dynamics.load_model(model_dir),
+                                                  data.load_dataset(data_dir)).mean_l2
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    hp_doc = dataclasses.asdict(hp)
-    hp_doc["hidden_sizes"] = list(hp.hidden_sizes)
     payloads = []
-    for value in values:
+    for value, point_hp in zip(values, point_hps):
         for k in range(n_seeds):
             seed = args.seed + k
             run_dir = out / "runs" / f"{param}={value:g}_seed{seed}"
-            payloads.append((data_dir, model_dir, algorithm, hp_doc, param, value,
-                             seed, str(run_dir)))
+            payloads.append((data_dir, model_dir, algorithm, point_hp, param, value,
+                             seed, str(run_dir), model_error))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))

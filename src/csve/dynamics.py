@@ -77,15 +77,15 @@ class EnsembleDynamicsModel:
     def num_members(self) -> int:
         return len(self.members)
 
+    def check_dims(self, dataset: ContinuousTransitionDataset) -> None:
+        if (self.state_dim, self.action_dim) != (dataset.state_dim, dataset.action_dim):
+            raise InputError(f"the dynamics model has state_dim {self.state_dim} and "
+                             f"action_dim {self.action_dim} but the dataset has "
+                             f"{dataset.state_dim} and {dataset.action_dim}")
+
     def _inputs(self, states, actions):
         x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
         return (x - self.in_mean) / self.in_std
-
-    def member_gaussian(self, index: int, states, actions):
-        """Normalized-space mean and clamped log-std of one member."""
-        out = self.members[index].forward(self._inputs(states, actions))
-        dim = self.state_dim + 1
-        return out[..., :dim], nn.clamp_log_std(out[..., dim:])
 
     @property
     def _relu(self) -> bool:
@@ -223,8 +223,8 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
     for b in range(config.num_members):
         boot = rng.choice(train_idx, size=train_idx.size, replace=True)
         member = nn.Mlp.init(sizes, rng)
-        opt = nn.adam_init(member.params, config.learning_rate)
-        best_params = [p.copy() for p in member.params]
+        opt = nn.adam_init(member.flat, config.learning_rate)
+        best_flat = member.flat.copy()
         best_nll = np.inf
         stale = 0
         member_train, member_hold = [], []
@@ -248,7 +248,7 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
                 d_log = (1.0 - diff * diff * inv_var) * scale
                 d_log = np.where(nn.clamp_log_std_mask(raw), d_log, 0.0)
                 grads, _ = member.backward(cache, np.hstack([d_mean, d_log]))
-                member.params, opt = nn.adam_step(opt, member.params, grads)
+                nn.adam_step(opt, member.flat, grads.flat)
                 epoch_losses.append(loss)
                 global_step += 1
             out_h = member.forward(x_hold)
@@ -258,13 +258,13 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
             member_hold.append(hold_nll)
             if hold_nll < best_nll - 1e-6:
                 best_nll = hold_nll
-                best_params = [p.copy() for p in member.params]
+                best_flat = member.flat.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.patience:
                     break
-        member.params = best_params
+        member.flat[:] = best_flat
         members.append(member)
         history["train_nll"].append(member_train)
         history["holdout_nll"].append(member_hold)
@@ -286,6 +286,7 @@ def model_error_report(model: EnsembleDynamicsModel,
     """
     if dataset.size == 0:
         raise InputError("holdout dataset is empty")
+    model.check_dims(dataset)
     n, dim = dataset.size, model.state_dim
     member_sums = np.zeros(model.num_members)
     mean_sum = spread_sum = reward_sum = 0.0

@@ -46,26 +46,55 @@ def row_blocks(rows: int, widest: int) -> list[int]:
     return [_ROW_ALIGN * (units * i // n_blocks) for i in range(n_blocks)] + [rows]
 
 
+class FlatViews(list):
+    """The arrays [W0, b0, W1, b1, ...] of an MLP with ``layer_sizes``, W of
+    shape (n_in, n_out), as views into ``flat``, the one vector that holds
+    them in that order."""
+
+    def __init__(self, flat: np.ndarray, layer_sizes):
+        super().__init__()
+        self.flat = flat
+        start = 0
+        for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            self.append(flat[start:start + n_in * n_out].reshape(n_in, n_out))
+            self.append(flat[start + n_in * n_out:start + (n_in + 1) * n_out])
+            start += (n_in + 1) * n_out
+
+
 class Mlp:
     """Fully connected network with identity output and relu/tanh hidden
-    activations.  Parameters are stored as [W0, b0, W1, b1, ...] with W of
-    shape (n_in, n_out)."""
+    activations.  One float64 vector, ``flat``, owns every parameter, and
+    ``params`` are its per-layer views (:class:`FlatViews`).  Training
+    writes into them in place; neither can be rebound."""
 
     def __init__(self, layer_sizes, params, activation="relu"):
+        """``params`` are the arrays [W0, b0, W1, b1, ...], copied into ``flat``."""
         self.layer_sizes = [int(n) for n in layer_sizes]
         if len(self.layer_sizes) < 2 or any(n <= 0 for n in self.layer_sizes):
             raise InputError(f"bad layer sizes {layer_sizes}")
         if activation not in _ACTIVATION_CODES:
             raise InputError(f"unknown activation {activation!r}")
         self.activation = activation
-        self.params = [np.asarray(p, dtype=np.float64) for p in params]
+        arrays = [np.asarray(p, dtype=np.float64) for p in params]
         expected = []
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             expected.append((n_in, n_out))
             expected.append((n_out,))
-        shapes = [p.shape for p in self.params]
+        shapes = [p.shape for p in arrays]
         if shapes != expected:
             raise InputError(f"parameter shapes {shapes} do not match sizes {expected}")
+        self._params = FlatViews(np.concatenate(arrays, axis=None), self.layer_sizes)
+
+    def __reduce__(self):  # a pickle keeps the views on ``flat``
+        return Mlp, (self.layer_sizes, self.params, self.activation)
+
+    @property
+    def params(self) -> FlatViews:
+        return self._params
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._params.flat
 
     @classmethod
     def init(cls, layer_sizes, rng: np.random.Generator, activation="relu",
@@ -89,7 +118,7 @@ class Mlp:
         return len(self.layer_sizes) - 1
 
     def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, [p.copy() for p in self.params], self.activation)
+        return Mlp(self.layer_sizes, self.params, self.activation)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Output alone, for batches that need no backward pass.
@@ -150,7 +179,8 @@ class Mlp:
         return out, (inputs, squeeze)
 
     def backward(self, cache, cotangent: np.ndarray):
-        """Gradients of <output, cotangent> for every parameter and the input."""
+        """Gradients of <output, cotangent> for every parameter, as the views
+        of one vector like ``flat`` (:class:`FlatViews`), and for the input."""
         return self._backward(cache, cotangent, with_params=True)
 
     def input_grad(self, cache, cotangent: np.ndarray) -> np.ndarray:
@@ -165,14 +195,14 @@ class Mlp:
             dz = dz[None, :]
         params, last = self.params, self.num_layers - 1
         relu = self.activation == "relu"
-        grads = [None] * len(params) if with_params else None
+        grads = FlatViews(np.empty_like(self.flat), self.layer_sizes) if with_params else None
         for i in range(last, -1, -1):
             if i < last:  # dz is this pass's own array here: scale it in place
                 act = inputs[i + 1]
                 dz *= (act > 0.0) if relu else 1.0 - act ** 2
             if with_params:
-                grads[2 * i] = inputs[i].T @ dz
-                grads[2 * i + 1] = dz.sum(axis=0)
+                np.matmul(inputs[i].T, dz, out=grads[2 * i])
+                dz.sum(axis=0, out=grads[2 * i + 1])
             dz = dz @ params[2 * i].T
         input_grad = dz[0] if squeeze else dz
         return grads, input_grad
@@ -182,24 +212,10 @@ class Mlp:
 # Adam
 # ---------------------------------------------------------------------------
 
-def _flatten(arrays) -> np.ndarray:
-    return np.concatenate(arrays, axis=None)
-
-
-def _unflatten(flat: np.ndarray, like) -> list:
-    """Views into ``flat`` with the shapes of ``like``, in order."""
-    out, start = [], 0
-    for p in like:
-        out.append(flat[start:start + p.size].reshape(p.shape))
-        start += p.size
-    return out
-
-
 @dataclass
 class AdamState:
-    """Moments are flat vectors over all parameters in list order, so one
-    update is a handful of whole-vector operations; each element sees the
-    same arithmetic as a per-array update."""
+    """Moments over a network's ``flat``; :func:`adam_step` updates them,
+    and the step count, in place."""
 
     m: np.ndarray
     v: np.ndarray
@@ -210,52 +226,40 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(params, lr: float) -> AdamState:
-    size = sum(np.size(p) for p in params)
-    return AdamState(m=np.zeros(size), v=np.zeros(size), step=0, lr=lr)
+def adam_init(flat: np.ndarray, lr: float) -> AdamState:
+    return AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat), step=0, lr=lr)
 
 
-def adam_step(state: AdamState, params, grads):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
-    if len(grads) != len(params):
-        raise InputError("gradient list does not match parameter list")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise InputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    g = _flatten(grads)
-    if g.size != state.m.size:
-        raise InputError("optimizer state does not match the parameter list")
-    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    # p - lr*m_hat/(sqrt(v_hat) + eps), operation for operation, with every
-    # intermediate written into g or one scratch vector
-    step = state.step + 1
+def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of the vector ``flat`` in place:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    flat -= lr*m_hat/(sqrt(v_hat) + eps), every intermediate in one of two
+    scratch vectors.  ``grad`` is left as it is."""
+    if not flat.shape == grad.shape == state.m.shape:
+        raise InputError(f"gradient size {grad.size} and optimizer size {state.m.size} "
+                         f"do not match the {flat.size} parameters")
+    state.step += 1
     b1, b2 = state.beta1, state.beta2
-    tmp = np.multiply(g, 1.0 - b1)
-    m = np.multiply(state.m, b1)
-    m += tmp
-    np.multiply(g, 1.0 - b2, out=tmp)
-    tmp *= g
-    v = np.multiply(state.v, b2)
-    v += tmp
-    np.divide(m, 1.0 - b1 ** step, out=tmp)
+    tmp = np.multiply(grad, 1.0 - b1)
+    state.m *= b1
+    state.m += tmp
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    state.v *= b2
+    state.v += tmp
+    np.divide(state.m, 1.0 - b1 ** state.step, out=tmp)
     tmp *= state.lr
-    np.divide(v, 1.0 - b2 ** step, out=g)
-    np.sqrt(g, out=g)
-    g += state.eps
-    tmp /= g
-    new = _flatten(params)
-    new -= tmp
-    return _unflatten(new, params), AdamState(m, v, step, state.lr, b1, b2, state.eps)
+    denom = np.divide(state.v, 1.0 - b2 ** state.step)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    tmp /= denom
+    flat -= tmp
 
 
-def polyak_update(target_params, source_params, omega: float):
-    """target <- (1 - omega) * target + omega * source, per parameter."""
-    blended = _flatten(target_params)
-    blended *= 1.0 - omega
-    source = _flatten(source_params)
-    source *= omega
-    blended += source
-    return _unflatten(blended, target_params)
+def polyak_update(target: np.ndarray, source: np.ndarray, omega: float) -> None:
+    """target <- (1 - omega) * target + omega * source, in place."""
+    target *= 1.0 - omega
+    target += omega * source
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +332,12 @@ def presquash_actions(actions, scale):
 # ---------------------------------------------------------------------------
 
 def save_mlp_blob(mlp: Mlp) -> bytes:
-    """Header (magic, version, activation, layer sizes) followed by all
-    parameters as little-endian float64 in layer order."""
-    header = bytearray()
-    header += _MAGIC
-    header += struct.pack("<I", _BLOB_VERSION)
-    header += struct.pack("<B", _ACTIVATION_CODES[mlp.activation])
-    header += struct.pack("<I", len(mlp.layer_sizes))
-    for n in mlp.layer_sizes:
-        header += struct.pack("<I", n)
-    body = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in mlp.params)
-    return bytes(header) + body
+    """Header (magic, version, activation, layer sizes) followed by ``flat``
+    as little-endian float64."""
+    sizes = mlp.layer_sizes
+    header = struct.pack(f"<IBI{len(sizes)}I", _BLOB_VERSION, _ACTIVATION_CODES[mlp.activation],
+                         len(sizes), *sizes)
+    return _MAGIC + header + mlp.flat.astype("<f8", copy=False).tobytes()
 
 
 def read_mlp_blob(data: bytes, offset: int = 0):
@@ -357,17 +356,13 @@ def read_mlp_blob(data: bytes, offset: int = 0):
         raise CorruptFileError(f"unsupported checkpoint version {version}")
     if act_code not in _ACTIVATION_NAMES:
         raise CorruptFileError(f"unknown activation code {act_code}")
-    params = []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        for shape in ((n_in, n_out), (n_out,)):
-            count = int(np.prod(shape))
-            if offset + 8 * count > len(data):
-                raise CorruptFileError("checkpoint blob is truncated")
-            params.append(np.frombuffer(data, dtype="<f8", count=count,
-                                        offset=offset).reshape(shape).copy())
-            offset += 8 * count
+    count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    end = offset + 8 * count
+    if end > len(data):
+        raise CorruptFileError("checkpoint blob is truncated")
+    flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
     try:
-        return Mlp(sizes, params, _ACTIVATION_NAMES[act_code]), offset
+        return Mlp(sizes, FlatViews(flat, sizes), _ACTIVATION_NAMES[act_code]), end
     except InputError as err:
         raise CorruptFileError(f"bad checkpoint blob: {err}") from None
 

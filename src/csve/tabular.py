@@ -8,7 +8,6 @@ float64 and immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,32 +72,6 @@ class TabularMdp:
     @property
     def num_actions(self) -> int:
         return self.transition.shape[1]
-
-    def to_json(self) -> str:
-        doc = {
-            "num_states": self.num_states,
-            "num_actions": self.num_actions,
-            "discount": self.discount,
-            "r_max": self.r_max,
-            "transition": self.transition.tolist(),
-            "reward": self.reward.tolist(),
-            "initial_dist": self.initial_dist.tolist(),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TabularMdp":
-        doc = json.loads(text)
-        mdp = cls(
-            transition=doc["transition"],
-            reward=doc["reward"],
-            initial_dist=doc["initial_dist"],
-            discount=doc["discount"],
-            r_max=doc["r_max"],
-        )
-        if mdp.num_states != doc["num_states"] or mdp.num_actions != doc["num_actions"]:
-            raise InputError("declared dimensions disagree with array shapes")
-        return mdp
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,7 @@ def _train_job(payload):
     hp = agent.CsveHyperParams(**hp_kwargs)
     env = envs.make_env(dataset.meta["env"])
     rng = np.random.default_rng(seed)
-    if algorithm == "awac":
-        _, rows = agent.awac_baseline(dataset, hp, rng, env=env)
-    else:
-        _, rows = agent.train_agent(dataset, model, hp, rng, env=env,
-                                    algorithm=algorithm)
+    _, rows = agent.train_agent(dataset, model, hp, rng, env=env, algorithm=algorithm)
     evals = [r for r in rows if r["eval_return_mean"] is not None]
     pis = [r["loss_pi"] for r in rows if r["loss_pi"] is not None]
     return _score(dataset, evals[-1]["eval_return_mean"]), pis[-1]
@@ -200,8 +196,9 @@ def test_criterion_9_awac_degeneration_bit_identical(tmp_path, pointmass_medium)
                                lambda_explore=0.0, **DESK)
     _, rows_csve = agent.train_agent(dataset, model, hp, np.random.default_rng(77),
                                      algorithm="csve")
-    _, rows_awac = agent.awac_baseline(dataset, agent.CsveHyperParams(
-        total_steps=steps, log_interval=100, **DESK), np.random.default_rng(77))
+    _, rows_awac = agent.train_agent(dataset, None, agent.CsveHyperParams(
+        total_steps=steps, log_interval=100, **DESK), np.random.default_rng(77),
+        algorithm="awac")
     write_csv(tmp_path / "csve.csv", METRIC_COLUMNS, rows_csve)
     write_csv(tmp_path / "awac.csv", METRIC_COLUMNS, rows_awac)
     identical = (tmp_path / "csve.csv").read_bytes() == (tmp_path / "awac.csv").read_bytes()
@@ -214,20 +211,16 @@ def test_criterion_10_adaptive_alpha_strict_response():
     hp = agent.CsveHyperParams(adaptive_alpha=True, tau_budget=10.0,
                                lr_alpha=1e-3, **DESK)
     bundle = agent.init_bundle(2, 1, [1.0], hp, np.random.default_rng(0))
-    frozen_batch = agent.Batch(np.zeros((4, 2)), np.zeros((4, 1)), np.zeros(4),
-                               np.zeros((4, 2)), np.zeros(4, dtype=bool))
     bundle.alpha = 1.0
     increasing = []
     for _ in range(100):
-        agent.alpha_update(bundle, frozen_batch, None, hp, None,
-                           gap=hp.tau_budget + 3.0)
+        agent.alpha_update(bundle, hp, hp.tau_budget + 3.0)
         increasing.append(bundle.alpha)
     strictly_up = all(b > a for a, b in zip([1.0] + increasing, increasing))
 
     decreasing = []
     for _ in range(100):
-        agent.alpha_update(bundle, frozen_batch, None, hp, None,
-                           gap=hp.tau_budget - 3.0)
+        agent.alpha_update(bundle, hp, hp.tau_budget - 3.0)
         decreasing.append(bundle.alpha)
     start = increasing[-1]
     strictly_down = all(
@@ -355,12 +348,13 @@ def test_criterion_14_noise_variant():
         bundle = agent.AgentBundle(
             v_net=v_net, q_net=q_net, q_target=q_net.copy(), policy_net=policy,
             alpha=2.0, action_scale=np.array([1.0]),
-            opt_v=nn.adam_init(v_net.params, 1e-4),
-            opt_q=nn.adam_init(q_net.params, 1e-4),
-            opt_policy=nn.adam_init(policy.params, 3e-4))
+            opt_v=nn.adam_init(v_net.flat, 1e-4),
+            opt_q=nn.adam_init(q_net.flat, 1e-4),
+            opt_policy=nn.adam_init(policy.flat, 3e-4))
         batch = agent.Batch(np.array([[0.4]]), np.array([[0.3]]), np.array([0.5]),
                             np.array([[0.6]]), np.array([False]))
-        got = agent.v_loss_noise_variant(bundle, batch, hp, np.random.default_rng(8))
+        got = agent._v_loss_impl(bundle, batch, None, hp, np.random.default_rng(8),
+                                 penalty_active=True, noise_variant=True)
         rng = np.random.default_rng(8)
         noise_q = rng.standard_normal((1, 2, 1))
         state_noise = rng.standard_normal((1, 1))

@@ -28,9 +28,9 @@ def hand_bundle(hp):
     return agent.AgentBundle(
         v_net=v_net, q_net=q_net, q_target=q_net.copy(), policy_net=policy,
         alpha=hp.alpha_init, action_scale=np.array([1.0]),
-        opt_v=nn.adam_init(v_net.params, hp.lr_critic),
-        opt_q=nn.adam_init(q_net.params, hp.lr_critic),
-        opt_policy=nn.adam_init(policy.params, hp.lr_actor))
+        opt_v=nn.adam_init(v_net.flat, hp.lr_critic),
+        opt_q=nn.adam_init(q_net.flat, hp.lr_critic),
+        opt_policy=nn.adam_init(policy.flat, hp.lr_actor))
 
 
 def hand_model():
@@ -146,7 +146,8 @@ def test_v_loss_noise_variant_hand_evaluation():
     hp = tiny_hp(alpha_init=2.0, ood_variant="gaussian_noise", noise_var=0.1)
     bundle = hand_bundle(hp)
     batch = one_transition_batch()
-    got = agent.v_loss_noise_variant(bundle, batch, hp, np.random.default_rng(8))
+    got = agent._v_loss_impl(bundle, batch, None, hp, np.random.default_rng(8),
+                             penalty_active=True, noise_variant=True)
 
     rng = np.random.default_rng(8)
     noise_q = rng.standard_normal((1, 2, 1))
@@ -165,7 +166,8 @@ def test_v_loss_noise_variant_vanishes_as_sigma_shrinks():
     hp_small = tiny_hp(alpha_init=5.0, ood_variant="gaussian_noise", noise_var=1e-12)
     bundle = hand_bundle(hp_small)
     batch = one_transition_batch()
-    got = agent.v_loss_noise_variant(bundle, batch, hp_small, np.random.default_rng(3))
+    got = agent._v_loss_impl(bundle, batch, None, hp_small, np.random.default_rng(3),
+                             penalty_active=True, noise_variant=True)
     assert abs(got.gap) < 1e-5  # s' -> s for a continuous V
 
 
@@ -180,8 +182,7 @@ def test_v_loss_gradients_only_touch_v_net(pointmass_setup):
     assert [g.shape for g in got.grads] == [p.shape for p in bundle.v_net.params]
     before = [p.copy() for p in bundle.policy_net.params + bundle.q_net.params
               + bundle.q_target.params]
-    bundle.v_net.params, bundle.opt_v = nn.adam_step(bundle.opt_v,
-                                                     bundle.v_net.params, got.grads)
+    nn.adam_step(bundle.opt_v, bundle.v_net.flat, got.grads.flat)
     after = bundle.policy_net.params + bundle.q_net.params + bundle.q_target.params
     for p, q in zip(before, after):
         assert np.array_equal(p, q)
@@ -359,21 +360,20 @@ def test_target_update_endpoints():
 def test_alpha_fixed_points_and_monotonicity():
     hp = tiny_hp(adaptive_alpha=True, tau_budget=1.0, lr_alpha=0.1)
     bundle = hand_bundle(hp)
-    batch = one_transition_batch()
 
     bundle.alpha = 2.0
-    agent.alpha_update(bundle, batch, None, hp, None, gap=hp.tau_budget)
+    agent.alpha_update(bundle, hp, hp.tau_budget)
     assert bundle.alpha == 2.0  # gap == tau: stationary
 
-    agent.alpha_update(bundle, batch, None, hp, None, gap=hp.tau_budget + 2.0)
+    agent.alpha_update(bundle, hp, hp.tau_budget + 2.0)
     assert bundle.alpha == pytest.approx(2.2)  # increases by lr * 2
 
     bundle.alpha = 0.0
-    agent.alpha_update(bundle, batch, None, hp, None, gap=hp.tau_budget - 5.0)
+    agent.alpha_update(bundle, hp, hp.tau_budget - 5.0)
     assert bundle.alpha == 0.0  # projected at zero
 
     bundle.alpha = 1.0
-    agent.alpha_update(bundle, batch, None, hp, None, gap=hp.tau_budget - 2.0)
+    agent.alpha_update(bundle, hp, hp.tau_budget - 2.0)
     assert bundle.alpha == pytest.approx(0.8)  # strictly decreases
 
 
@@ -384,8 +384,8 @@ def test_alpha_fixed_points_and_monotonicity():
 def test_awr_zero_advantage_is_behavior_cloning():
     hp = tiny_hp(beta_awr=1.0)
     bundle = hand_bundle(hp)
-    bundle.q_net.params = [np.zeros((2, 1)), np.zeros(1)]
-    bundle.v_net.params = [np.zeros((1, 1)), np.zeros(1)]
+    bundle.q_net.flat[:] = 0.0
+    bundle.v_net.flat[:] = 0.0
     batch = agent.Batch(np.array([[0.4], [0.1]]), np.array([[0.3], [-0.5]]),
                         np.zeros(2), np.zeros((2, 1)), np.zeros(2, dtype=bool))
     got = agent.awr_policy_loss(bundle, batch, hp)
@@ -402,8 +402,8 @@ def test_awr_two_sample_hand_weights():
     hp = tiny_hp(beta_awr=1.0)
     bundle = hand_bundle(hp)
     # Q picks the action coordinate, V is zero: advantage = action value
-    bundle.q_net.params = [np.array([[0.0], [1.0]]), np.zeros(1)]
-    bundle.v_net.params = [np.zeros((1, 1)), np.zeros(1)]
+    bundle.q_net.flat[:] = [0.0, 1.0, 0.0]
+    bundle.v_net.flat[:] = 0.0
     bundle.action_scale = np.array([2.0])
     batch = agent.Batch(np.array([[0.0], [0.0]]), np.array([[1.0], [-1.0]]),
                         np.zeros(2), np.zeros((2, 1)), np.zeros(2, dtype=bool))
@@ -469,7 +469,7 @@ def test_explore_loss_hand_evaluation():
 def test_explore_loss_zero_bonus_when_v_and_reward_vanish():
     hp = tiny_hp(lambda_explore=0.9)
     bundle = hand_bundle(hp)
-    bundle.v_net.params = [np.zeros((1, 1)), np.zeros(1)]
+    bundle.v_net.flat[:] = 0.0
     model = hand_model()
     model.members[0].params[0][:, 1] = 0.0  # reward head weights
     model.members[0].params[1][1] = 0.0
@@ -608,9 +608,9 @@ def test_awac_equivalence_is_bit_exact(pointmass_setup):
                  total_steps=60, batch_size=16, log_interval=10)
     b1, rows1 = agent.train_agent(ds, model, hp, np.random.default_rng(7),
                                   env=env, algorithm="csve")
-    b2, rows2 = agent.awac_baseline(ds, tiny_hp(total_steps=60, batch_size=16,
-                                                log_interval=10),
-                                    np.random.default_rng(7), env=env)
+    b2, rows2 = agent.train_agent(ds, None, tiny_hp(total_steps=60, batch_size=16,
+                                                    log_interval=10),
+                                  np.random.default_rng(7), env=env, algorithm="awac")
     assert rows1 == rows2
     for p, q in zip(b1.policy_net.params, b2.policy_net.params):
         assert np.array_equal(p, q)
@@ -635,7 +635,8 @@ def test_metric_log_schema(pointmass_setup):
     env, ds, model = pointmass_setup
     hp = tiny_hp(total_steps=20, batch_size=8, log_interval=10, eval_interval=20)
     for maker, kwargs in ((agent.train_agent, dict(model=model)),
-                          (lambda d, hp, r, env: agent.awac_baseline(d, hp, r, env=env), {}),
+                          (lambda d, hp, r, env: agent.train_agent(d, None, hp, r, env=env,
+                                                                   algorithm="awac"), {}),
                           (lambda d, hp, r, env: agent.train_agent(d, None, hp, r, env=env,
                                                                    algorithm="cql_awr"), {})):
         if kwargs:
@@ -662,14 +663,13 @@ def test_penalty_weakly_closes_value_gap():
         hp = dataclasses.replace(hp_base, alpha_init=alpha)
         bundle = hand_bundle(hp)
         bundle.v_net = nn.Mlp([1, 1], [np.zeros((1, 1)), np.zeros(1)])
-        bundle.opt_v = nn.adam_init(bundle.v_net.params, 1e-2)
+        bundle.opt_v = nn.adam_init(bundle.v_net.flat, 1e-2)
         bundle.alpha = alpha
         for _ in range(3000):
             got = agent._v_loss_impl(bundle, batch, None, hp,
                                      np.random.default_rng(5),
                                      penalty_active=True, noise_variant=True)
-            bundle.v_net.params, bundle.opt_v = nn.adam_step(
-                bundle.opt_v, bundle.v_net.params, got.grads)
+            nn.adam_step(bundle.opt_v, bundle.v_net.flat, got.grads.flat)
         final = agent._v_loss_impl(bundle, batch, None, hp,
                                    np.random.default_rng(5),
                                    penalty_active=True, noise_variant=True)
@@ -892,6 +892,13 @@ def reference_polyak(target, source, omega):
     return [(1.0 - omega) * t + omega * s for t, s in zip(target, source)]
 
 
+def reference_update(bundle, net, opt, grads):
+    """Apply :func:`reference_adam_step` to ``bundle``'s network ``net``."""
+    new, state = reference_adam_step(getattr(bundle, opt), getattr(bundle, net).params, grads)
+    getattr(bundle, net).flat[:] = np.concatenate(new, axis=None)
+    setattr(bundle, opt, state)
+
+
 def reference_training(ds, model, hp, seed, algorithm):
     """train_agent's loop as first written: every loss runs its own policy
     pass, every forward pass is one whole-batch pass, and Adam and Polyak
@@ -909,25 +916,21 @@ def reference_training(ds, model, hp, seed, algorithm):
         if algorithm == "cql_awr":
             loss_v = gap = None
             loss_q, grads = agent.cql_critic_loss(bundle, batch, hp, rng)
-            bundle.q_net.params, bundle.opt_q = reference_adam_step(
-                bundle.opt_q, bundle.q_net.params, grads)
+            reference_update(bundle, "q_net", "opt_q", grads)
             pi = agent.cql_actor_loss(bundle, batch, hp, rng)
         else:
             res = agent._v_loss_impl(bundle, batch, model, hp, rng, penalty_active=penalty,
                                      noise_variant=algorithm == "csve_noise")
             loss_v, gap = res.loss, res.gap
-            bundle.v_net.params, bundle.opt_v = reference_adam_step(
-                bundle.opt_v, bundle.v_net.params, res.grads)
+            reference_update(bundle, "v_net", "opt_v", res.grads)
             if penalty:
                 bundle.alpha = max(0.0, bundle.alpha + hp.lr_alpha * (gap - hp.tau_budget))
             loss_q, grads = agent.q_loss(bundle, batch, hp)
-            bundle.q_net.params, bundle.opt_q = reference_adam_step(
-                bundle.opt_q, bundle.q_net.params, grads)
+            reference_update(bundle, "q_net", "opt_q", grads)
             pi = agent.explore_policy_loss(bundle, batch, model, hp, rng)
-        bundle.policy_net.params, bundle.opt_policy = reference_adam_step(
-            bundle.opt_policy, bundle.policy_net.params, pi.grads)
-        bundle.q_target.params = reference_polyak(bundle.q_target.params,
-                                                  bundle.q_net.params, hp.omega)
+        reference_update(bundle, "policy_net", "opt_policy", pi.grads)
+        bundle.q_target.flat[:] = np.concatenate(
+            reference_polyak(bundle.q_target.params, bundle.q_net.params, hp.omega), axis=None)
         if step % hp.log_interval == 0 or step == hp.total_steps:
             rows.append({"step": step, "loss_v": loss_v, "loss_q": loss_q,
                          "loss_pi": pi.awr_loss, "alpha": bundle.alpha, "v_gap": gap,

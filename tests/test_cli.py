@@ -432,6 +432,80 @@ def test_sweep_rejects_unknown_param(workspace, tmp_path):
                 tmp_path / "s"]) == 2
 
 
+def test_sweep_loads_once_per_point_and_reports_once(workspace, tmp_path, monkeypatch):
+    _, data_dir, model_dir = workspace
+    calls = {"load_dataset": 0, "load_model": 0, "model_error_report": 0}
+    reports = []
+    for module, name in ((cli.data, "load_dataset"), (cli.dynamics, "load_model"),
+                         (cli.dynamics, "model_error_report")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            result = _fn(*args)
+            if _name == "model_error_report":
+                reports.append(result.mean_l2)
+            return result
+        monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--data", data_dir, "--model", model_dir,
+                "--param", "tau_budget", "--values", "5,10", "--seeds", 1,
+                "--total-steps", 4, "--batch-size", 8, "--hidden-sizes", "8,8",
+                "--n-action-samples", 2, "--log-interval", 2, "--out", out]) == 0
+    # one load of each for the report, then one per point for its training
+    assert calls == {"load_dataset": 3, "load_model": 3, "model_error_report": 1}
+    rows = [line.split(",") for line in read_lines(out / "sweep.csv")[2:]]
+    assert [row[5] for row in rows] == [repr(reports[0])] * 2
+
+
+@pytest.mark.parametrize("param, values, message", [
+    ("beta_awr", "abc", "could not convert string to float: 'abc'"),
+    ("batch_size", "16.5", "invalid literal for int()"),
+    ("hidden_sizes", "16", "sweep parameter 'hidden_sizes' is not a numeric"),
+    ("adaptive_alpha", "1", "sweep parameter 'adaptive_alpha' is not a numeric"),
+    ("batch_size", "8,0", "batch_size must be at least 1"),
+])
+def test_sweep_rejects_bad_values_with_one_line(workspace, tmp_path, capsys, param, values,
+                                                message):
+    _, data_dir, model_dir = workspace
+    out = tmp_path / "s"
+    capsys.readouterr()
+    assert run(["sweep", "--data", data_dir, "--model", model_dir, "--param", param,
+                "--values", values, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_of_an_int_parameter_runs_with_ints(workspace, tmp_path):
+    _, data_dir, model_dir = workspace
+    out = tmp_path / "s"
+    assert run(["sweep", "--data", data_dir, "--model", model_dir, "--param", "batch_size",
+                "--values", "4,8", "--seeds", 1, "--total-steps", 2, "--hidden-sizes", "8,8",
+                "--n-action-samples", 2, "--log-interval", 2, "--out", out]) == 0
+    assert [line.split(",")[:2] for line in read_lines(out / "sweep.csv")[2:]] == [
+        ["batch_size", "4"], ["batch_size", "8"]]
+    assert (out / "runs" / "batch_size=8_seed0" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--episodes", 0), ("eval", "--episodes", -3),
+    ("sweep", "--seeds", 0), ("sweep", "--workers", 0),
+])
+def test_counts_below_one_are_config_errors(workspace, tmp_path, capsys, command, flag, value):
+    _, data_dir, model_dir = workspace
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--data", data_dir, "--scripted", "medium"]
+    else:
+        argv = ["sweep", "--data", data_dir, "--model", model_dir, "--param", "tau_budget",
+                "--values", "5"]
+    capsys.readouterr()
+    assert run([*argv, flag, value, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag} must be at least 1, got {value}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # logs and timestamps
 # ---------------------------------------------------------------------------

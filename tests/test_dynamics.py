@@ -44,6 +44,13 @@ def perfect_linear_model(a, b):
     )
 
 
+def member_gaussian(model, index, states, actions):
+    """Normalized-space mean and clamped log-std of one member."""
+    out = model.members[index].forward(model._inputs(states, actions))
+    dim = model.state_dim + 1
+    return out[..., :dim], nn.clamp_log_std(out[..., dim:])
+
+
 @pytest.fixture(scope="module")
 def trained_linear():
     dataset, system = linear_system_dataset()
@@ -65,7 +72,7 @@ def test_trains_linear_system_to_small_one_step_error(trained_linear):
     targets = np.hstack([dataset.next_states - dataset.states,
                          dataset.rewards[:, None]])
     normalized = (targets - model.out_mean) / model.out_std
-    preds = np.mean([model.member_gaussian(i, dataset.states, dataset.actions)[0]
+    preds = np.mean([member_gaussian(model, i, dataset.states, dataset.actions)[0]
                      for i in range(model.num_members)], axis=0)
     assert float(np.mean(np.linalg.norm(preds - normalized, axis=1))) <= 0.1
 
@@ -249,7 +256,7 @@ def test_ensemble_passes_match_member_by_member_reference_exactly():
     sample = np.empty((30, 3))
     for b in range(3):
         sel = picks == b
-        mean, log_std = model.member_gaussian(b, states[sel], actions[sel])
+        mean, log_std = member_gaussian(model, b, states[sel], actions[sel])
         sample[sel] = mean + np.exp(log_std) * noise[sel]
     sample = sample * model.out_std + model.out_mean
     assert np.array_equal(got_next, states + sample[:, :2])
@@ -262,13 +269,13 @@ def _two_pass_error_report(model, dataset):
     in its own loop."""
     acc = np.zeros((dataset.size, model.state_dim + 1))
     for b in range(model.num_members):
-        acc += model.member_gaussian(b, dataset.states, dataset.actions)[0]
+        acc += member_gaussian(model, b, dataset.states, dataset.actions)[0]
     denorm = acc / model.num_members * model.out_std + model.out_mean
     mean_next = dataset.states + denorm[:, :model.state_dim]
     mean_reward = denorm[:, model.state_dim]
     member_l2, member_means = [], []
     for b in range(model.num_members):
-        mean, _ = model.member_gaussian(b, dataset.states, dataset.actions)
+        mean, _ = member_gaussian(model, b, dataset.states, dataset.actions)
         denorm = mean * model.out_std + model.out_mean
         nxt = dataset.states + denorm[:, :model.state_dim]
         member_means.append(nxt)

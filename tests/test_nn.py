@@ -143,7 +143,9 @@ def reference_pass(mlp, x, cot):
 def test_forward_and_backward_match_preactivation_reference_exactly(activation):
     rng = np.random.default_rng(21)
     mlp = nn.Mlp.init([3, 16, 8, 2], rng, activation=activation)
-    mlp.params = [p + rng.normal(size=p.shape) if p.ndim == 1 else p for p in mlp.params]
+    for p in mlp.params:
+        if p.ndim == 1:
+            p += rng.normal(size=p.shape)
     x = rng.normal(size=(40, 3))
     x_before = x.copy()
     cot = rng.normal(size=(40, 2))
@@ -229,25 +231,23 @@ def test_gradcheck_on_agent_network_shapes():
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradient_keeps_params():
-    params = [np.array([1.0, -2.0])]
-    state = nn.adam_init(params, lr=0.1)
-    new_params, new_state = nn.adam_step(state, params, [np.zeros(2)])
-    assert np.array_equal(new_params[0], params[0])
-    assert new_state.step == 1
+    flat = np.array([1.0, -2.0])
+    state = nn.adam_init(flat, lr=0.1)
+    nn.adam_step(state, flat, np.zeros(2))
+    assert np.array_equal(flat, [1.0, -2.0])
+    assert state.step == 1
 
 
 def test_adam_constant_gradient_approaches_sign_step():
-    params = [np.zeros(2)]
-    state = nn.adam_init(params, lr=0.01)
-    g = [np.array([0.3, -4.0])]
-    prev = params
+    flat = np.zeros(2)
+    state = nn.adam_init(flat, lr=0.01)
+    g = np.array([0.3, -4.0])
     for _ in range(500):
-        prev, state = nn.adam_step(state, prev, g)
+        nn.adam_step(state, flat, g)
     # after bias correction the per-step move tends to -lr * sign(g)
-    before = prev[0].copy()
-    prev, state = nn.adam_step(state, prev, g)
-    step_vec = prev[0] - before
-    assert np.allclose(step_vec, -0.01 * np.sign(g[0]), atol=1e-6)
+    before = flat.copy()
+    nn.adam_step(state, flat, g)
+    assert np.allclose(flat - before, -0.01 * np.sign(g), atol=1e-6)
 
 
 def test_adam_three_step_hand_trace():
@@ -265,75 +265,140 @@ def test_adam_three_step_hand_trace():
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
         expected.append(theta.copy())
 
-    params = [np.zeros(2)]
-    state = nn.adam_init(params, lr=lr)
+    flat = np.zeros(2)
+    state = nn.adam_init(flat, lr=lr)
     for t in range(3):
-        params, state = nn.adam_step(state, params, [g])
-        assert np.max(np.abs(params[0] - expected[t])) < 1e-12
+        nn.adam_step(state, flat, g)
+        assert np.max(np.abs(flat - expected[t])) < 1e-12
 
 
 def test_adam_and_polyak_match_per_array_updates_exactly():
     rng = np.random.default_rng(5)
-    shapes = [(3, 2), (2,), (2, 4), (4,)]
-    params = [rng.normal(size=s) for s in shapes]
-    target = [rng.normal(size=s) for s in shapes]
-    state = nn.adam_init(params, lr=0.03)
-    want = [p.copy() for p in params]
+    sizes = [3, 2, 4]
+    net = nn.Mlp.init(sizes, rng)
+    target = nn.Mlp.init(sizes, rng)
+    shapes = [p.shape for p in net.params]
+    state = nn.adam_init(net.flat, lr=0.03)
+    want = [p.copy() for p in net.params]
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
     for t in range(1, 6):
-        grads = [rng.normal(size=s) for s in shapes]
-        params, state = nn.adam_step(state, params, grads)
+        grads = nn.FlatViews(rng.normal(size=net.flat.size), sizes)
+        nn.adam_step(state, net.flat, grads.flat)
         for k, g in enumerate(grads):
             m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
             v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
             want[k] = want[k] - 0.03 * (m[k] / (1.0 - 0.9 ** t)) / (
                 np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
-        assert all(np.array_equal(p, w) for p, w in zip(params, want))
+        assert all(np.array_equal(p, w) for p, w in zip(net.params, want))
         assert np.array_equal(state.m, np.concatenate([x.ravel() for x in m]))
         assert np.array_equal(state.v, np.concatenate([x.ravel() for x in v]))
-        blended = nn.polyak_update(target, params, 0.005)
+        before = [p.copy() for p in target.params]
+        nn.polyak_update(target.flat, net.flat, 0.005)
         assert all(np.array_equal(b, (1.0 - 0.005) * t_ + 0.005 * p)
-                   for b, t_, p in zip(blended, target, params))
+                   for b, t_, p in zip(target.params, before, net.params))
     with pytest.raises(InputError):
-        nn.adam_step(nn.adam_init(params[:2], lr=0.1), params, grads)
+        nn.adam_step(nn.adam_init(net.flat[:6], lr=0.1), net.flat, grads.flat)
+    with pytest.raises(InputError):
+        nn.adam_step(state, net.flat, grads.flat[:-1])
 
 
-def test_adam_and_polyak_leave_their_inputs_unchanged():
+def test_adam_and_polyak_update_their_targets_in_place():
+    """Adam writes the parameters and moments where they are, and Polyak the
+    target: every per-layer view sees the change, and the gradient and the
+    source stay as they were."""
     rng = np.random.default_rng(9)
-    shapes = [(5, 3), (3,), (3, 1), (1,)]
-    params = [rng.normal(size=s) for s in shapes]
-    state = nn.adam_init(params, lr=0.01)
-    params, state = nn.adam_step(state, params, [rng.normal(size=s) for s in shapes])
-    grads = [rng.normal(size=s) for s in shapes]
-    target = [rng.normal(size=s) for s in shapes]
-    inputs = [params, grads, target, [state.m, state.v]]
-    before = [[a.copy() for a in group] for group in inputs]
+    net, target = nn.Mlp.init([5, 3, 1], rng), nn.Mlp.init([5, 3, 1], rng)
+    state = nn.adam_init(net.flat, lr=0.01)
+    flat, m, v, views = net.flat, state.m, state.v, list(net.params)
+    grad = rng.normal(size=flat.size)
+    saved_grad, saved_flat = grad.copy(), flat.copy()
 
-    new_params, new_state = nn.adam_step(state, params, grads)
-    blended = nn.polyak_update(target, params, 0.3)
-    for group, saved in zip(inputs, before):
-        assert all(np.array_equal(a, b) for a, b in zip(group, saved))
-    assert state.step == 1 and new_state.step == 2
-    outputs = [*new_params, *blended, new_state.m, new_state.v]
-    assert not any(np.shares_memory(a, b) for a in outputs
-                   for group in inputs for b in group)
+    nn.adam_step(state, net.flat, grad)
+    assert net.flat is flat and state.m is m and state.v is v and state.step == 1
+    assert not np.array_equal(flat, saved_flat) and np.array_equal(grad, saved_grad)
+    assert all(a is b for a, b in zip(net.params, views))
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.params]), flat)
+
+    saved_target, saved_source = target.flat.copy(), net.flat.copy()
+    target_flat = target.flat
+    nn.polyak_update(target.flat, net.flat, 0.3)
+    assert target.flat is target_flat and np.array_equal(net.flat, saved_source)
+    assert np.array_equal(target.flat, 0.7 * saved_target + 0.3 * saved_source)
+    assert np.array_equal(target.params[2], target.flat[-4:-1].reshape(3, 1))
 
 
 def test_polyak_closed_form_blend():
     rng = np.random.default_rng(3)
-    target = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-    source = [rng.normal(size=(3, 2)), rng.normal(size=2)]
+    target = rng.normal(size=8)
+    source = rng.normal(size=8)
     omega = 0.005
-    blended = [t.copy() for t in target]
+    blended = target.copy()
     for _ in range(100):
-        blended = nn.polyak_update(blended, source, omega)
+        nn.polyak_update(blended, source, omega)
     w = (1 - omega) ** 100
-    for b, t, s in zip(blended, target, source):
-        assert np.max(np.abs(b - (w * t + (1 - w) * s))) < 1e-12
+    assert np.max(np.abs(blended - (w * target + (1 - w) * source))) < 1e-12
     # omega = 1 copies, omega -> 0 freezes
-    assert np.allclose(nn.polyak_update(target, source, 1.0)[0], source[0])
-    assert np.allclose(nn.polyak_update(target, source, 1e-300)[0], target[0])
+    for omega, want in ((1.0, source), (1e-300, target)):
+        blended = target.copy()
+        nn.polyak_update(blended, source, omega)
+        assert np.allclose(blended, want)
+
+
+# ---------------------------------------------------------------------------
+# The flat parameter layout
+# ---------------------------------------------------------------------------
+
+def test_params_are_views_into_one_flat_vector():
+    rng = np.random.default_rng(4)
+    mlp = nn.Mlp.init([3, 5, 4, 2], rng)
+    assert mlp.flat.dtype == np.float64 and mlp.flat.ndim == 1
+    assert mlp.flat.size == sum(p.size for p in mlp.params) == 4 * 5 + 6 * 4 + 5 * 2
+    assert [p.shape for p in mlp.params] == [(3, 5), (5,), (5, 4), (4,), (4, 2), (2,)]
+    assert all(np.shares_memory(p, mlp.flat) for p in mlp.params)
+    assert np.array_equal(np.concatenate([p.ravel() for p in mlp.params]), mlp.flat)
+    mlp.flat[:] = np.arange(mlp.flat.size)
+    assert mlp.params[2][0, 0] == 20.0 and mlp.params[5][1] == 53.0
+    mlp.params[0][1, 2] = -7.0
+    assert mlp.flat[7] == -7.0
+    with pytest.raises(AttributeError):
+        mlp.params = [p.copy() for p in mlp.params]
+
+    copy = mlp.copy()
+    assert np.array_equal(copy.flat, mlp.flat)
+    assert not np.shares_memory(copy.flat, mlp.flat)
+    assert all(np.shares_memory(p, copy.flat) for p in copy.params)
+    copy.flat[:] += 1.0
+    assert not np.array_equal(copy.flat, mlp.flat)
+    with pytest.raises(AttributeError):
+        copy.flat = mlp.flat.copy()
+    # the constructor copies its arrays too
+    w, b = np.ones((2, 2)), np.zeros(2)
+    small = nn.Mlp([2, 2], [w, b])
+    w[0, 0] = 5.0
+    assert small.params[0][0, 0] == 1.0
+
+
+def test_backward_writes_gradients_into_one_flat_vector():
+    rng = np.random.default_rng(6)
+    mlp = nn.Mlp.init([3, 6, 2], rng)
+    out, cache = mlp.forward_cache(rng.normal(size=(5, 3)))
+    grads, _ = mlp.backward(cache, rng.normal(size=(5, 2)))
+    assert isinstance(grads, nn.FlatViews) and grads.flat.shape == mlp.flat.shape
+    assert [g.shape for g in grads] == [p.shape for p in mlp.params]
+    assert all(np.shares_memory(g, grads.flat) for g in grads)
+    assert not np.shares_memory(grads.flat, mlp.flat)
+    assert np.array_equal(np.concatenate([g.ravel() for g in grads]), grads.flat)
+
+
+def test_pickled_network_keeps_its_views():
+    import pickle
+
+    mlp = nn.Mlp.init([2, 4, 1], np.random.default_rng(1), activation="tanh")
+    back = pickle.loads(pickle.dumps(mlp))
+    assert back.activation == "tanh" and np.array_equal(back.flat, mlp.flat)
+    back.flat[:] = 0.0
+    assert all(not p.any() for p in back.params)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +466,13 @@ def test_training_is_bit_deterministic():
     def run():
         rng = np.random.default_rng(123)
         mlp = nn.Mlp.init([3, 8, 1], rng)
-        state = nn.adam_init(mlp.params, lr=1e-3)
+        state = nn.adam_init(mlp.flat, lr=1e-3)
         x = rng.normal(size=(16, 3))
         y = rng.normal(size=(16, 1))
         for _ in range(50):
             out, cache = mlp.forward_cache(x)
             grads, _ = mlp.backward(cache, 2 * (out - y) / 16)
-            mlp.params, state = nn.adam_step(state, mlp.params, grads)
+            nn.adam_step(state, mlp.flat, grads.flat)
         return mlp.params
 
     a, b = run(), run()
@@ -425,8 +490,12 @@ def test_blob_round_trip_is_exact():
     assert back.activation == "tanh"
     for p, q in zip(back.params, mlp.params):
         assert np.array_equal(p, q)
+    assert blob[-8 * mlp.flat.size:] == mlp.flat.astype("<f8").tobytes()
+    assert back.flat.flags.writeable and not np.shares_memory(back.flat, mlp.flat)
     with pytest.raises(InputError):
         nn.read_mlp_blob(b"JUNK" + blob)
+    with pytest.raises(CorruptFileError, match="truncated"):
+        nn.read_mlp_blob(blob[:-1])
 
 
 def test_blob_file_must_hold_exactly_its_blobs(tmp_path):

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -370,23 +369,3 @@ def test_unvisited_count_floor_is_used():
     sem = tab.SamplingErrorModel(c_r=0.0, c_p=0.0, c_rt=1.0, unvisited_count_floor=0.01)
     got = tab.sampling_error_vector(ds, sem, mdp, single_policy(2))[0]
     assert got == pytest.approx(1.0 / (0.5 * np.sqrt(0.01)))
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-# ---------------------------------------------------------------------------
-
-def test_json_round_trip_is_bit_faithful():
-    rng = np.random.default_rng(42)
-    mdp = tab.random_mdp(5, 3, 0.937, rng)
-    text = mdp.to_json()
-    back = tab.TabularMdp.from_json(text)
-    assert np.array_equal(back.transition, mdp.transition)
-    assert np.array_equal(back.reward, mdp.reward)
-    assert np.array_equal(back.initial_dist, mdp.initial_dist)
-    assert back.discount == mdp.discount and back.r_max == mdp.r_max
-    # a document printed with 17 significant digits parses back identically
-    doc = json.loads(text)
-    reprinted = json.dumps(doc, default=float)
-    again = tab.TabularMdp.from_json(reprinted)
-    assert np.array_equal(again.transition, mdp.transition)

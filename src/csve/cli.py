@@ -65,15 +65,18 @@ def _log(out_dir: Path, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_config_section(path: str | None, section: str) -> dict:
+    """The entries of ``section`` in the INI file ``path``; a file that
+    cannot be read or parsed raises ConfigError on one line."""
     if not path:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
-    if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file {path!r} not found or unreadable")
+        return dict(parser.items(section)) if parser.has_section(section) else {}
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"config file {path!r} does not parse: "
+                          f"{' '.join(str(err).split())}") from None
 
 
 def _coerce(raw: str, kind):
@@ -84,9 +87,9 @@ def _coerce(raw: str, kind):
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
-    if kind is tuple:
-        return tuple(int(x) for x in raw.split(",") if x)
     try:
+        if kind is tuple:
+            return tuple(int(x) for x in raw.split(",") if x)
         return kind(raw)
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -98,25 +101,29 @@ def _at_least_one(value: int, name: str) -> int:
     return value
 
 
-def resolve(args: argparse.Namespace, section: str, name: str, kind, default):
-    """Flag > config-file entry > default."""
-    flag = getattr(args, name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    conf = _load_config_section(args.config, section)
-    if name in conf:
-        return _coerce(conf[name], kind)
-    return default
+def resolve(args: argparse.Namespace, name: str, kind, default):
+    """Flag > entry of the command's config section (``args.conf``) >
+    default.  A flag or entry is coerced to ``kind``; a bad one raises
+    ConfigError naming it."""
+    raw, source = getattr(args, name, None), "--" + name.replace("_", "-")
+    if raw is None:
+        if name not in args.conf:
+            return default
+        raw, source = args.conf[name], f"config entry {name}"
+    try:
+        return _coerce(raw, kind)
+    except ConfigError as err:
+        raise ConfigError(f"{source}: {err}") from None
 
 
 # Every hyper-parameter is a flag and a config key of its default's type.
 _HP_KINDS = {f.name: type(f.default) for f in dataclasses.fields(agent.CsveHyperParams)}
 
 
-def _hyper_params(args, section: str) -> agent.CsveHyperParams:
+def _hyper_params(args) -> agent.CsveHyperParams:
     values = {}
     for name, kind in _HP_KINDS.items():
-        values[name] = resolve(args, section, name, kind, getattr(_HP_DEFAULTS, name))
+        values[name] = resolve(args, name, kind, getattr(_HP_DEFAULTS, name))
     return agent.CsveHyperParams(**values)
 
 
@@ -125,15 +132,8 @@ _HP_DEFAULTS = agent.CsveHyperParams()
 
 def _add_hp_flags(parser: argparse.ArgumentParser) -> None:
     for name, kind in _HP_KINDS.items():
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            parser.add_argument(flag, type=lambda s: _coerce(s, bool), default=None,
-                                metavar="BOOL")
-        elif kind is tuple:
-            parser.add_argument(flag, type=lambda s: _coerce(s, tuple), default=None,
-                                metavar="N,N")
-        else:
-            parser.add_argument(flag, type=kind, default=None)
+        parser.add_argument("--" + name.replace("_", "-"), default=None,
+                            metavar={bool: "BOOL", tuple: "N,N"}.get(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +141,9 @@ def _add_hp_flags(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    env_name = resolve(args, "gen-data", "env", str, None)
-    tier = resolve(args, "gen-data", "tier", str, None)
-    size = resolve(args, "gen-data", "size", int, 10_000)
+    env_name = resolve(args, "env", str, None)
+    tier = resolve(args, "tier", str, None)
+    size = resolve(args, "size", int, 10_000)
     if env_name is None or tier is None:
         raise ConfigError("gen-data needs --env and --tier")
     env = envs.make_env(env_name)
@@ -158,12 +158,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_dynamics(args) -> int:
-    data_dir = resolve(args, "train-dynamics", "data", str, None)
+    data_dir = resolve(args, "data", str, None)
     if data_dir is None:
         raise ConfigError("train-dynamics needs --data")
-    members = resolve(args, "train-dynamics", "members", int, 5)
-    hidden = resolve(args, "train-dynamics", "hidden_sizes", tuple, (64, 64))
-    max_epochs = resolve(args, "train-dynamics", "max_epochs", int, 200)
+    members = resolve(args, "members", int, 5)
+    hidden = resolve(args, "hidden_sizes", tuple, (64, 64))
+    max_epochs = resolve(args, "max_epochs", int, 200)
     dataset = data.load_dataset(data_dir)
     config = dynamics.EnsembleConfig(num_members=members, hidden_sizes=hidden,
                                      max_epochs=max_epochs)
@@ -190,6 +190,8 @@ def cmd_train_dynamics(args) -> int:
 def _run_training(dataset_dir, model_dir, algorithm, hp, seed, out_dir,
                   evaluate: bool = True):
     dataset = data.load_dataset(dataset_dir)
+    if evaluate and "env" in dataset.meta:  # the final score needs the anchors
+        data.require_keys(dataset.meta, data.ANCHOR_KEYS, Path(dataset_dir) / "meta.json")
     model = dynamics.load_model(model_dir) if model_dir else None
     env = envs.make_env(dataset.meta["env"]) if evaluate and "env" in dataset.meta else None
     rng = np.random.default_rng(seed)
@@ -212,15 +214,15 @@ def _final_score(dataset, rows):
 
 
 def cmd_train(args) -> int:
-    data_dir = resolve(args, "train", "data", str, None)
+    data_dir = resolve(args, "data", str, None)
     if data_dir is None:
         raise ConfigError("train needs --data")
-    model_dir = resolve(args, "train", "model", str, None)
-    algorithm = resolve(args, "train", "algorithm", str, "csve")
+    model_dir = resolve(args, "model", str, None)
+    algorithm = resolve(args, "algorithm", str, "csve")
     if algorithm not in agent.ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    hp = _hyper_params(args, "train")
-    no_eval = resolve(args, "train", "no_eval", bool, False)
+    hp = _hyper_params(args)
+    no_eval = resolve(args, "no_eval", bool, False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset, rows = _run_training(data_dir, model_dir, algorithm, hp, args.seed,
@@ -235,15 +237,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    data_dir = resolve(args, "eval", "data", str, None)
+    data_dir = resolve(args, "data", str, None)
     if data_dir is None:
         raise ConfigError("eval needs --data for the environment and anchors")
-    checkpoint = resolve(args, "eval", "checkpoint", str, None)
-    scripted = resolve(args, "eval", "scripted", str, None)
-    episodes = _at_least_one(resolve(args, "eval", "episodes", int, 10), "episodes")
+    checkpoint = resolve(args, "checkpoint", str, None)
+    scripted = resolve(args, "scripted", str, None)
+    episodes = _at_least_one(resolve(args, "episodes", int, 10), "episodes")
     if (checkpoint is None) == (scripted is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --scripted")
-    dataset = data.load_dataset(data_dir)
+    dataset = data.load_dataset(data_dir, ("env", *data.ANCHOR_KEYS))
     env = envs.make_env(dataset.meta["env"])
     if checkpoint:
         bundle, _, _ = agent.load_agent(checkpoint)
@@ -280,8 +282,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    suite = resolve(args, "verify-theory", "suite", str, "all")
-    trials = resolve(args, "verify-theory", "trials", int, 0)
+    suite = resolve(args, "suite", str, "all")
+    trials = resolve(args, "trials", int, 0)
+    if trials < 0:
+        raise ConfigError(f"--trials must be at least 0 (0 runs each suite's default), "
+                          f"got {trials}")
     names = list(theory.SUITES) if suite == "all" else [suite]
     for name in names:
         if name not in theory.SUITES:
@@ -334,20 +339,20 @@ def _sweep_point(payload):
 
 
 def cmd_sweep(args) -> int:
-    data_dir = resolve(args, "sweep", "data", str, None)
-    param = resolve(args, "sweep", "param", str, None)
-    values_raw = resolve(args, "sweep", "values", str, None)
+    data_dir = resolve(args, "data", str, None)
+    param = resolve(args, "param", str, None)
+    values_raw = resolve(args, "values", str, None)
     if data_dir is None or param is None or values_raw is None:
         raise ConfigError("sweep needs --data, --param and --values")
     kind = float if param == "model_frac" else _HP_KINDS.get(param)
     if kind not in (int, float):
         raise ConfigError(f"sweep parameter {param!r} is not a numeric hyper-parameter "
                           f"or model_frac")
-    model_dir = resolve(args, "sweep", "model", str, None)
-    algorithm = resolve(args, "sweep", "algorithm", str, "csve")
-    n_seeds = _at_least_one(resolve(args, "sweep", "seeds", int, 3), "seeds")
-    workers = _at_least_one(resolve(args, "sweep", "workers", int, 1), "workers")
-    hp = _hyper_params(args, "sweep")
+    model_dir = resolve(args, "model", str, None)
+    algorithm = resolve(args, "algorithm", str, "csve")
+    n_seeds = _at_least_one(resolve(args, "seeds", int, 3), "seeds")
+    workers = _at_least_one(resolve(args, "workers", int, 1), "workers")
+    hp = _hyper_params(args)
     values = [_coerce(v, kind) for v in values_raw.split(",") if v]
     if not values:
         raise ConfigError("sweep grid is empty")
@@ -424,15 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--env", choices=envs.ENV_NAMES, default=None)
     p.add_argument("--tier", choices=data.DATASET_TIERS, default=None)
-    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--size", default=None)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-dynamics", help="fit the ensemble dynamics model")
     common(p)
     p.add_argument("--data", default=None)
-    p.add_argument("--members", type=int, default=None)
-    p.add_argument("--hidden-sizes", type=lambda s: _coerce(s, tuple), default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
+    p.add_argument("--members", default=None)
+    p.add_argument("--hidden-sizes", default=None, metavar="N,N")
+    p.add_argument("--max-epochs", default=None)
     p.set_defaults(func=cmd_train_dynamics)
 
     p = sub.add_parser("train", help="train an offline agent")
@@ -440,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--algorithm", choices=agent.ALGORITHMS, default=None)
-    p.add_argument("--no-eval", type=lambda s: _coerce(s, bool), default=None,
-                   metavar="BOOL")
+    p.add_argument("--no-eval", default=None, metavar="BOOL")
     _add_hp_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -450,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--scripted", choices=envs.TIERS, default=None)
-    p.add_argument("--episodes", type=int, default=None)
+    p.add_argument("--episodes", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify-theory", help="run the certification suites")
     common(p)
     p.add_argument("--suite", default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", default=None)
     p.set_defaults(func=cmd_verify_theory)
 
     p = sub.add_parser("sweep", help="grid sweep over one parameter")
@@ -466,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=agent.ALGORITHMS, default=None)
     p.add_argument("--param", default=None)
     p.add_argument("--values", default=None)
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--seeds", default=None)
+    p.add_argument("--workers", default=None)
     _add_hp_flags(p)
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -477,6 +481,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.conf = _load_config_section(args.config, args.command)
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -20,6 +20,8 @@ from .tabular import TabularDataset
 
 SCHEMA_VERSION = 1
 ANCHOR_EPISODES = 50
+# meta.json's normalized-score anchors: the returns that score 0 and 100
+ANCHOR_KEYS = ("random_return_mean", "expert_return_mean")
 
 
 @dataclass
@@ -203,19 +205,25 @@ def read_json(path, keys=()) -> dict:
         doc = json.loads(Path(path).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CorruptFileError(f"{path} is not valid JSON: {err}") from None
-    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
-    if missing:
-        raise CorruptFileError(f"{path} lacks {', '.join(missing)}")
+    require_keys(doc, keys, path)
     return doc
 
 
-def load_dataset(directory) -> ContinuousTransitionDataset:
-    """The dataset saved in ``directory``.  A ``transitions.bin`` that is not
-    whole records of the declared dims, holds another number of records than
+def require_keys(doc, keys, path) -> None:
+    """Raise CorruptFileError naming ``path`` unless ``doc`` is an object with ``keys``."""
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise CorruptFileError(f"{path} lacks {', '.join(missing)}")
+
+
+def load_dataset(directory, keys=()) -> ContinuousTransitionDataset:
+    """The dataset saved in ``directory``.  A ``meta.json`` without its size,
+    dims or the other ``keys``, or a ``transitions.bin`` that is not whole
+    records of the declared dims, holds another number of records than
     ``meta.json``'s size, or holds a non-finite value raises
-    CorruptFileError naming it."""
+    CorruptFileError naming the file."""
     directory = Path(directory)
-    meta = read_json(directory / "meta.json", ("size", "state_dim", "action_dim"))
+    meta = read_json(directory / "meta.json", ("size", "state_dim", "action_dim", *keys))
     s_dim, a_dim = meta["state_dim"], meta["action_dim"]
     width = 2 * s_dim + a_dim + 2
     path = directory / "transitions.bin"

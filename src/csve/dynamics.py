@@ -2,9 +2,11 @@
 
 Each member maps (state, action) to a diagonal Gaussian over the
 normalized (state delta, reward) target; members train on independent
-bootstrap resamples with early stopping on a shared holdout.  The API is
-deliberately one-step only: there is no rollout operation, so model error
-cannot compound over a horizon.
+bootstrap resamples with early stopping on a shared holdout.  The members
+are one stacked :class:`nn.Mlp`: the ensemble-mean pass and its action
+gradient run through it, and sampling, the error report and checkpoints
+through its member views.  The API is deliberately one-step only: there is
+no rollout operation, so model error cannot compound over a horizon.
 """
 
 from __future__ import annotations
@@ -52,13 +54,14 @@ class ModelErrorReport:
 
 
 class EnsembleDynamicsModel:
-    """B Gaussian-head networks over normalized (delta state, reward)."""
+    """B Gaussian-head networks over normalized (delta state, reward), held
+    as one stacked network, ``net``; ``members`` are its members as plain
+    networks on the same memory (:meth:`nn.Mlp.member`)."""
 
     def __init__(self, members: list[nn.Mlp], in_mean, in_std, out_mean, out_std,
                  state_dim: int, action_dim: int, history: dict | None = None):
-        if not members:
-            raise InputError("ensemble needs at least one member")
-        self.members = members
+        self.net = nn.Mlp.stack(members)
+        self.members = [self.net.member(b) for b in range(len(members))]
         self.in_mean = np.asarray(in_mean, dtype=np.float64)
         self.in_std = np.maximum(np.asarray(in_std, dtype=np.float64), STD_FLOOR)
         self.out_mean = np.asarray(out_mean, dtype=np.float64)
@@ -66,12 +69,13 @@ class EnsembleDynamicsModel:
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.history = history or {}
-        target_dim = state_dim + 1
-        for m in members:
-            if m.layer_sizes[-1] != 2 * target_dim:
-                raise InputError("member output width must be 2 * (state_dim + 1)")
-            if (m.layer_sizes, m.activation) != (members[0].layer_sizes, members[0].activation):
-                raise InputError("ensemble members must share layer sizes and activation")
+        if self.net.layer_sizes[-1] != 2 * (state_dim + 1):
+            raise InputError("member output width must be 2 * (state_dim + 1)")
+
+    def __reduce__(self):  # a pickle re-stacks, so the members stay views of ``net``
+        return EnsembleDynamicsModel, (self.members, self.in_mean, self.in_std, self.out_mean,
+                                       self.out_std, self.state_dim, self.action_dim,
+                                       self.history)
 
     @property
     def num_members(self) -> int:
@@ -86,30 +90,6 @@ class EnsembleDynamicsModel:
     def _inputs(self, states, actions):
         x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
         return (x - self.in_mean) / self.in_std
-
-    @property
-    def _relu(self) -> bool:
-        return self.members[0].activation == "relu"
-
-    def _stacked_forward(self, x):
-        """All members over the same rows at once, one batched matmul per
-        layer; each member's slice comes from the same matrix product as its
-        own ``forward``.  Returns (outputs (B, n, out), layer inputs, stacked
-        weights), read fresh from the members on every call."""
-        params = [m.params for m in self.members]
-        weights, inputs, h = [], [], x
-        last = len(params[0]) // 2 - 1
-        for layer in range(last + 1):
-            inputs.append(h)
-            weights.append(np.stack([p[2 * layer] for p in params]))
-            h = h @ weights[-1]
-            h += np.stack([p[2 * layer + 1] for p in params])[:, None, :]
-            if layer < last:
-                if self._relu:
-                    np.maximum(h, 0.0, out=h)
-                else:
-                    np.tanh(h, out=h)
-        return h, inputs, weights
 
     def sample_next_batch(self, states, actions, rng: np.random.Generator):
         """One-step samples: each row picks a uniformly random member, samples
@@ -152,7 +132,7 @@ class EnsembleDynamicsModel:
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         x = self._inputs(states, actions)
         dim = self.state_dim + 1
-        out, inputs, weights = self._stacked_forward(x)
+        out, cache = self.net.forward_cache(x)
         acc = np.zeros((states.shape[0], dim))
         for member_out in out:
             acc += member_out[:, :dim]
@@ -160,19 +140,12 @@ class EnsembleDynamicsModel:
 
         def pullback(cot_next, cot_reward):
             # cotangent on the normalized mean outputs, shared by all members
-            cot_out = np.hstack([cot_next, cot_reward[:, None]])
-            cot_mean = cot_out * self.out_std / self.num_members
-            dz = np.hstack([cot_mean, np.zeros_like(cot_mean)])
-            for layer in range(len(weights) - 1, -1, -1):
-                if layer < len(weights) - 1:
-                    act = inputs[layer + 1]
-                    dz = dz * (act > 0.0) if self._relu else dz * (1.0 - act ** 2)
-                dz = dz @ weights[layer].transpose(0, 2, 1)
+            cot_mean = np.hstack([cot_next, cot_reward[:, None]]) * self.out_std / self.num_members
             grad_x = np.zeros_like(x)
-            for member_grad in dz:
+            for member_grad in self.net.input_grad(
+                    cache, np.hstack([cot_mean, np.zeros_like(cot_mean)])):
                 grad_x += member_grad
-            grad_action = grad_x[:, self.state_dim:] / self.in_std[self.state_dim:]
-            return grad_action
+            return grad_x[:, self.state_dim:] / self.in_std[self.state_dim:]
 
         return next_states, rewards, pullback
 
@@ -318,35 +291,22 @@ def model_error_report(model: EnsembleDynamicsModel,
 # Checkpoints: one parameter blob per member plus a JSON sidecar
 # ---------------------------------------------------------------------------
 
+# what model.json holds besides its schema version and member count
+_SIDECAR_KEYS = ("in_mean", "in_std", "out_mean", "out_std", "state_dim", "action_dim")
+
+
 def save_model(model: EnsembleDynamicsModel, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     blob = b"".join(nn.save_mlp_blob(m) for m in model.members)
     (directory / "model.bin").write_bytes(blob)
-    sidecar = {
-        "schema_version": 1,
-        "num_members": model.num_members,
-        "state_dim": model.state_dim,
-        "action_dim": model.action_dim,
-        "in_mean": model.in_mean.tolist(),
-        "in_std": model.in_std.tolist(),
-        "out_mean": model.out_mean.tolist(),
-        "out_std": model.out_std.tolist(),
-    }
+    sidecar = {"schema_version": 1, "num_members": model.num_members,
+               **{key: np.asarray(getattr(model, key)).tolist() for key in _SIDECAR_KEYS}}
     (directory / "model.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(directory) -> EnsembleDynamicsModel:
     directory = Path(directory)
-    sidecar = read_json(directory / "model.json",
-                        ("num_members", "in_mean", "in_std", "out_mean", "out_std",
-                         "state_dim", "action_dim"))
-    return EnsembleDynamicsModel(
-        nn.load_mlp_file(directory / "model.bin", sidecar["num_members"]),
-        np.array(sidecar["in_mean"]),
-        np.array(sidecar["in_std"]),
-        np.array(sidecar["out_mean"]),
-        np.array(sidecar["out_std"]),
-        sidecar["state_dim"],
-        sidecar["action_dim"],
-    )
+    sidecar = read_json(directory / "model.json", ("num_members", *_SIDECAR_KEYS))
+    return EnsembleDynamicsModel(nn.load_mlp_file(directory / "model.bin", sidecar["num_members"]),
+                                 *(sidecar[key] for key in _SIDECAR_KEYS))

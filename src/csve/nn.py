@@ -1,5 +1,6 @@
-"""Minimal float64 neural substrate: MLPs with explicit reverse-mode
-gradients, Adam, diagonal-Gaussian heads and a binary checkpoint format.
+"""Minimal float64 neural substrate: MLPs (one network or a stacked
+ensemble) with explicit reverse-mode gradients, Adam, diagonal-Gaussian
+densities and a binary checkpoint format.
 
 The backward passes are written by hand and certified against central
 finite differences in the test suite; keeping everything in numpy float64
@@ -46,47 +47,87 @@ def row_blocks(rows: int, widest: int) -> list[int]:
     return [_ROW_ALIGN * (units * i // n_blocks) for i in range(n_blocks)] + [rows]
 
 
+def _param_count(layer_sizes) -> int:
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
 class FlatViews(list):
     """The arrays [W0, b0, W1, b1, ...] of an MLP with ``layer_sizes``, W of
     shape (n_in, n_out), as views into ``flat``, the one vector that holds
-    them in that order."""
+    them in that order.  With ``members`` B, ``flat`` is B such vectors back
+    to back, and the views are W (B, n_in, n_out) and b (B, 1, n_out)."""
 
-    def __init__(self, flat: np.ndarray, layer_sizes):
+    def __init__(self, flat: np.ndarray, layer_sizes, members: int | None = None):
         super().__init__()
         self.flat = flat
+        rows = flat.reshape(members or 1, -1)
         start = 0
         for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            self.append(flat[start:start + n_in * n_out].reshape(n_in, n_out))
-            self.append(flat[start + n_in * n_out:start + (n_in + 1) * n_out])
-            start += (n_in + 1) * n_out
+            mid, stop = start + n_in * n_out, start + (n_in + 1) * n_out
+            if members is None:
+                self.append(rows[0, start:mid].reshape(n_in, n_out))
+                self.append(rows[0, mid:stop])
+            else:
+                self.append(rows[:, start:mid].reshape(members, n_in, n_out))
+                self.append(rows[:, mid:stop].reshape(members, 1, n_out))
+            start = stop
 
 
 class Mlp:
     """Fully connected network with identity output and relu/tanh hidden
     activations.  One float64 vector, ``flat``, owns every parameter, and
     ``params`` are its per-layer views (:class:`FlatViews`).  Training
-    writes into them in place; neither can be rebound."""
+    writes into them in place; neither can be rebound.
 
-    def __init__(self, layer_sizes, params, activation="relu"):
-        """``params`` are the arrays [W0, b0, W1, b1, ...], copied into ``flat``."""
+    With ``members`` B it is B networks of one shape run side by side, member
+    after member in ``flat``: a batch (rows, n_in), or (B, rows, n_in), gives
+    outputs (B, rows, n_out), and :meth:`member` is one of them."""
+
+    def __init__(self, layer_sizes, params, activation="relu", members: int | None = None):
+        """``params`` are the arrays [W0, b0, W1, b1, ...], of the shapes of
+        :class:`FlatViews`, copied into ``flat``."""
         self.layer_sizes = [int(n) for n in layer_sizes]
         if len(self.layer_sizes) < 2 or any(n <= 0 for n in self.layer_sizes):
             raise InputError(f"bad layer sizes {layer_sizes}")
         if activation not in _ACTIVATION_CODES:
             raise InputError(f"unknown activation {activation!r}")
         self.activation = activation
+        self.members = members
         arrays = [np.asarray(p, dtype=np.float64) for p in params]
-        expected = []
-        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            expected.append((n_in, n_out))
-            expected.append((n_out,))
-        shapes = [p.shape for p in arrays]
+        flat = np.empty((members or 1) * _param_count(self.layer_sizes))
+        self._params = FlatViews(flat, self.layer_sizes, members)
+        shapes, expected = [p.shape for p in arrays], [v.shape for v in self._params]
         if shapes != expected:
             raise InputError(f"parameter shapes {shapes} do not match sizes {expected}")
-        self._params = FlatViews(np.concatenate(arrays, axis=None), self.layer_sizes)
+        for view, p in zip(self._params, arrays):
+            view[...] = p
 
     def __reduce__(self):  # a pickle keeps the views on ``flat``
-        return Mlp, (self.layer_sizes, self.params, self.activation)
+        return Mlp, (self.layer_sizes, self.params, self.activation, self.members)
+
+    @classmethod
+    def _on(cls, flat, layer_sizes, activation, members=None) -> "Mlp":
+        """A network whose parameters are ``flat`` itself, not a copy."""
+        net = cls.__new__(cls)
+        net.layer_sizes, net.activation, net.members = layer_sizes, activation, members
+        net._params = FlatViews(flat, layer_sizes, members)
+        return net
+
+    @classmethod
+    def stack(cls, nets) -> "Mlp":
+        """Plain networks of one shape and activation as one network, member
+        b a copy of ``nets[b]``."""
+        if len({(tuple(n.layer_sizes), n.activation, n.members) for n in nets}) != 1 \
+                or nets[0].members is not None:
+            raise InputError("stacked networks must be plain and share layer sizes "
+                             "and activation")
+        return cls._on(np.concatenate([n.flat for n in nets]), nets[0].layer_sizes,
+                       nets[0].activation, len(nets))
+
+    def member(self, b: int) -> "Mlp":
+        """Member ``b`` as a plain network on its slice of ``flat``, not a copy."""
+        return Mlp._on(self.flat.reshape(self.members, -1)[b], self.layer_sizes,
+                       self.activation)
 
     @property
     def params(self) -> FlatViews:
@@ -118,16 +159,16 @@ class Mlp:
         return len(self.layer_sizes) - 1
 
     def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self.params, self.activation)
+        return Mlp(self.layer_sizes, self.params, self.activation, self.members)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Output alone, for batches that need no backward pass.
 
         A critic (a network with one output) runs a large batch in the row
         blocks of :func:`row_blocks`, so that each block's activations stay
-        in a core's L2 cache.  A batch that fits in one block, and any batch
-        of a network with several outputs, runs as one pass.  Each block is
-        one ``forward_cache`` call whose cache is dropped with it.
+        in a core's L2 cache.  Any other batch (one block's worth, or of a
+        network with several outputs or members) runs as one pass.  Each
+        block is one ``forward_cache`` call whose cache is dropped with it.
 
         Blocking keeps every output bit.  Each output row is a set of dot
         products of that input row alone, and the BLAS kernels sum them in
@@ -143,7 +184,7 @@ class Mlp:
         x = np.asarray(x, dtype=np.float64)
         rows = x.shape[0] if x.ndim == 2 else 1
         bounds = row_blocks(rows, max(self.layer_sizes[1:]))
-        if self.layer_sizes[-1] != 1 or len(bounds) <= 2:
+        if self.layer_sizes[-1] != 1 or self.members is not None or len(bounds) <= 2:
             return self.forward_cache(x)[0]
         out = np.empty((rows, 1))
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -151,7 +192,8 @@ class Mlp:
         return out
 
     def forward_cache(self, x: np.ndarray):
-        """Returns (output, cache); accepts (batch, n_in) or (n_in,).
+        """Returns (output, cache); accepts (batch, n_in) or (n_in,), and a
+        stacked network (B, batch, n_in) too.
 
         The cache holds each layer's input.  A hidden activation is applied
         in place to its pre-activation, and the backward pass reads the
@@ -161,8 +203,8 @@ class Mlp:
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x[None, :] if squeeze else x
-        if h.shape[1] != self.layer_sizes[0]:
-            raise InputError(f"input width {h.shape[1]} != {self.layer_sizes[0]}")
+        if h.shape[-1] != self.layer_sizes[0]:
+            raise InputError(f"input width {h.shape[-1]} != {self.layer_sizes[0]}")
         params, last = self.params, self.num_layers - 1
         relu = self.activation == "relu"
         inputs = []
@@ -175,12 +217,15 @@ class Mlp:
                     np.maximum(h, 0.0, out=h)
                 else:
                     np.tanh(h, out=h)
-        out = h[0] if squeeze else h
+        out = h[..., 0, :] if squeeze else h
         return out, (inputs, squeeze)
 
     def backward(self, cache, cotangent: np.ndarray):
         """Gradients of <output, cotangent> for every parameter, as the views
-        of one vector like ``flat`` (:class:`FlatViews`), and for the input."""
+        of one vector like ``flat`` (:class:`FlatViews`), and for the input.
+        A stacked network's cotangent has its output's shape and its input
+        gradient is one per member, (B, batch, n_in), which sum to that of a
+        shared batch; :meth:`input_grad` also takes a shared cotangent."""
         return self._backward(cache, cotangent, with_params=True)
 
     def input_grad(self, cache, cotangent: np.ndarray) -> np.ndarray:
@@ -192,19 +237,20 @@ class Mlp:
         inputs, squeeze = cache
         dz = np.asarray(cotangent, dtype=np.float64)
         if squeeze:
-            dz = dz[None, :]
+            dz = dz[..., None, :]
         params, last = self.params, self.num_layers - 1
         relu = self.activation == "relu"
-        grads = FlatViews(np.empty_like(self.flat), self.layer_sizes) if with_params else None
+        grads = (FlatViews(np.empty_like(self.flat), self.layer_sizes, self.members)
+                 if with_params else None)
         for i in range(last, -1, -1):
             if i < last:  # dz is this pass's own array here: scale it in place
                 act = inputs[i + 1]
                 dz *= (act > 0.0) if relu else 1.0 - act ** 2
             if with_params:
-                np.matmul(inputs[i].T, dz, out=grads[2 * i])
-                dz.sum(axis=0, out=grads[2 * i + 1])
-            dz = dz @ params[2 * i].T
-        input_grad = dz[0] if squeeze else dz
+                np.matmul(inputs[i].mT, dz, out=grads[2 * i])
+                dz.sum(axis=-2, keepdims=self.members is not None, out=grads[2 * i + 1])
+            dz = dz @ params[2 * i].mT
+        input_grad = dz[..., 0, :] if squeeze else dz
         return grads, input_grad
 
 
@@ -275,36 +321,18 @@ def clamp_log_std_mask(raw: np.ndarray) -> np.ndarray:
     return (raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)
 
 
-@dataclass(frozen=True)
-class DiagGaussianHead:
-    """Mean and clamped log-standard-deviation of a diagonal Gaussian; the
-    leading axes may carry a batch."""
-
-    mean: np.ndarray
-    log_std: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        log_std = clamp_log_std(np.asarray(self.log_std, dtype=np.float64))
-        if mean.shape != log_std.shape:
-            raise InputError("mean and log_std must share a shape")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_std", log_std)
-
-
-def gaussian_log_prob(head: DiagGaussianHead, x: np.ndarray) -> np.ndarray:
-    """Exact diagonal-Gaussian log density, summed over the last axis."""
-    z = (np.asarray(x, dtype=np.float64) - head.mean) / np.exp(head.log_std)
-    return -0.5 * np.sum(z * z + 2.0 * head.log_std + LOG_TWO_PI, axis=-1)
+def gaussian_log_prob(mean, log_std, x) -> np.ndarray:
+    """Exact diagonal-Gaussian log density, summed over the last axis;
+    ``log_std`` is taken as it is, already clamped (:func:`clamp_log_std`)."""
+    z = (np.asarray(x, dtype=np.float64) - mean) / np.exp(log_std)
+    return -0.5 * np.sum(z * z + 2.0 * log_std + LOG_TWO_PI, axis=-1)
 
 
 def gaussian_log_prob_grads(mean, log_std, x):
     """d log N(x; mean, std) / d mean and / d log_std, elementwise."""
     inv_var = np.exp(-2.0 * log_std)
     diff = x - mean
-    d_mean = diff * inv_var
-    d_log_std = diff * diff * inv_var - 1.0
-    return d_mean, d_log_std
+    return diff * inv_var, diff * diff * inv_var - 1.0
 
 
 # Tanh-squashed policy head: a = scale * tanh(u), u ~ N(mean, std).
@@ -316,10 +344,8 @@ def squashed_gaussian_log_prob(mean, log_std, actions, scale):
     """log pi(a|s) for a = scale * tanh(u): Gaussian density of the presquash
     point minus the log-Jacobian of the squash, summed over action dims."""
     a = np.clip(np.asarray(actions, dtype=np.float64) / scale, -_ATANH_CLIP, _ATANH_CLIP)
-    u = np.arctanh(a)
-    base = gaussian_log_prob(DiagGaussianHead(mean, log_std), u)
     jacobian = np.sum(np.log(scale * (1.0 - a * a)), axis=-1)
-    return base - jacobian
+    return gaussian_log_prob(mean, log_std, np.arctanh(a)) - jacobian
 
 
 def presquash_actions(actions, scale):
@@ -356,7 +382,7 @@ def read_mlp_blob(data: bytes, offset: int = 0):
         raise CorruptFileError(f"unsupported checkpoint version {version}")
     if act_code not in _ACTIVATION_NAMES:
         raise CorruptFileError(f"unknown activation code {act_code}")
-    count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    count = _param_count(sizes)
     end = offset + 8 * count
     if end > len(data):
         raise CorruptFileError("checkpoint blob is truncated")

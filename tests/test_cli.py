@@ -506,6 +506,72 @@ def test_counts_below_one_are_config_errors(workspace, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, fragment", [
+    ("train", "data = x\n", "no section headers"),
+    ("train-dynamics", "[train-dynamics]\nhidden_sizes = 32,abc\n", "hidden_sizes"),
+])
+def test_malformed_config_file_is_one_line_config_error(workspace, tmp_path, capsys,
+                                                        command, text, fragment):
+    _, data_dir, _ = workspace
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--config", config, "--data", data_dir, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--no-eval", "maybe", "expected a boolean, got 'maybe'"),
+    ("--hidden-sizes", "32,abc", "invalid literal for int() with base 10: 'abc'"),
+    ("--total-steps", "1.5", "invalid literal for int() with base 10: '1.5'"),
+])
+def test_bad_flag_value_is_one_line_config_error(workspace, tmp_path, capsys, flag, value,
+                                                 message):
+    _, data_dir, _ = workspace
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", "--data", data_dir, flag, value, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {flag}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("eval", "env"), ("eval", "random_return_mean"),
+                                          ("eval", "expert_return_mean"),
+                                          ("train", "expert_return_mean")])
+def test_dataset_without_env_or_anchors_is_io_error_before_work(workspace, tmp_path, capsys,
+                                                               command, key):
+    _, data_dir, _ = workspace
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    meta = json.loads((bad / "meta.json").read_text())
+    del meta[key]
+    (bad / "meta.json").write_text(json.dumps(meta))
+    argv = {"eval": ["eval", "--data", bad, "--scripted", "medium", "--episodes", 1],
+            "train": ["train", "--data", bad, "--algorithm", "awac", "--total-steps", 1,
+                      "--hidden-sizes", "8,8"]}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err == f"i/o error: {bad / 'meta.json'} lacks {key}\n"
+    assert not (out / "metrics.csv").exists() and not (out / "eval.csv").exists()
+    if command == "train":  # a run that never evaluates needs no anchors
+        assert run([*argv, "--no-eval", "true", "--out", tmp_path / "no_eval"]) == 0
+
+
+def test_verify_theory_negative_trials_is_config_error(tmp_path, capsys):
+    out = tmp_path / "v"
+    capsys.readouterr()
+    assert run(["verify-theory", "--suite", "contraction", "--trials", -1, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --trials must be at least 0") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # logs and timestamps
 # ---------------------------------------------------------------------------

@@ -263,6 +263,42 @@ def test_ensemble_passes_match_member_by_member_reference_exactly():
     assert np.array_equal(got_rew, sample[:, 2])
 
 
+def test_writes_through_member_views_reach_the_stacked_passes():
+    rng = np.random.default_rng(9)
+    model = random_ensemble(rng)
+    assert all(np.shares_memory(m.flat, model.net.flat) for m in model.members)
+    states, actions = rng.normal(size=(6, 2)), rng.normal(size=(6, 1))
+    cot_next, cot_rew = rng.normal(size=(6, 2)), rng.normal(size=6)
+    before = model.mean_prediction_with_action_grad(states, actions)
+    model.members[1].params[0][2] *= -2.0  # member 1's weights on the action
+    model.members[2].params[-1][:3] += 0.5  # member 2's mean-head bias
+    fresh = dynamics.EnsembleDynamicsModel(
+        [m.copy() for m in model.members], model.in_mean, model.in_std, model.out_mean,
+        model.out_std, model.state_dim, model.action_dim)
+    got, want = (m.mean_prediction_with_action_grad(states, actions) for m in (model, fresh))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2](cot_next, cot_rew), want[2](cot_next, cot_rew))
+    assert not np.array_equal(got[1], before[1])
+    assert not np.array_equal(got[2](cot_next, cot_rew), before[2](cot_next, cot_rew))
+
+
+def test_pickled_model_keeps_its_member_views():
+    import pickle
+
+    rng = np.random.default_rng(10)
+    model = random_ensemble(rng)
+    back = pickle.loads(pickle.dumps(model))
+    assert np.array_equal(back.net.flat, model.net.flat)
+    assert all(np.shares_memory(m.flat, back.net.flat) for m in back.members)
+    states, actions = rng.normal(size=(5, 2)), rng.normal(size=(5, 1))
+    for got, want in zip(back.mean_prediction_with_action_grad(states, actions)[:2],
+                         model.mean_prediction_with_action_grad(states, actions)[:2]):
+        assert np.array_equal(got, want)
+    back.members[2].flat[:] = 0.0
+    assert not back.net.flat.reshape(3, -1)[2].any()
+    assert np.array_equal(back.net.flat.reshape(3, -1)[:2], model.net.flat.reshape(3, -1)[:2])
+
+
 def _two_pass_error_report(model, dataset):
     """model_error_report as first written: the ensemble mean from one pass
     over the members (the mean_prediction it called), then every member again

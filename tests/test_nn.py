@@ -401,24 +401,111 @@ def test_pickled_network_keeps_its_views():
     assert all(not p.any() for p in back.params)
 
 
+def _perturbed_nets(rng, sizes, activation, count):
+    """``count`` networks with nonzero biases, so that every view matters."""
+    nets = [nn.Mlp.init(sizes, rng, activation=activation) for _ in range(count)]
+    for net in nets:
+        net.flat[:] += rng.normal(scale=0.1, size=net.flat.size)
+    return nets
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stacked_backward_matches_finite_differences(activation):
+    rng = np.random.default_rng(17)
+    nets = _perturbed_nets(rng, [3, 6, 5, 2], activation, 3)
+    stacked = nn.Mlp.stack(nets)
+    x = rng.normal(size=(4, 3))
+    cot = rng.normal(size=(3, 4, 2))
+    out, cache = stacked.forward_cache(x)
+    grads, input_grad = stacked.backward(cache, cot)
+    assert out.shape == (3, 4, 2) and input_grad.shape == (3, 4, 3)
+    assert [g.shape for g in grads] == [p.shape for p in stacked.params]
+    for b, net in enumerate(nets):  # each member is its own network, to the bit
+        assert np.array_equal(out[b], net.forward(x))
+        want_grads, want_input = net.backward(net.forward_cache(x)[1], cot[b])
+        assert np.allclose(grads.flat.reshape(3, -1)[b], want_grads.flat, rtol=1e-12, atol=0)
+        assert np.allclose(input_grad[b], want_input, rtol=1e-12, atol=0)
+
+    def value(params):
+        net = nn.Mlp(stacked.layer_sizes, params, activation, members=3)
+        return float(np.sum(net.forward(x) * cot))
+
+    def input_value(inputs):
+        return float(np.sum(stacked.forward(inputs[0]) * cot))
+
+    assert max_rel_error(grads, finite_difference_grads(value, stacked.params)) <= 1e-4
+    # the members share the input: its gradient is the sum of theirs
+    numeric = finite_difference_grads(input_value, [x])[0]
+    assert np.max(np.abs(numeric - input_grad.sum(axis=0))) < 1e-5
+    # one batch per member: one input gradient per member
+    xs = rng.normal(size=(3, 4, 3))
+    numeric = finite_difference_grads(input_value, [xs])[0]
+    cache = stacked.forward_cache(xs)[1]
+    assert np.max(np.abs(numeric - stacked.input_grad(cache, cot))) < 1e-5
+
+
+def test_stack_then_member_gives_back_the_networks():
+    import pickle
+
+    rng = np.random.default_rng(8)
+    nets = _perturbed_nets(rng, [3, 5, 2], "tanh", 3)
+    stacked = nn.Mlp.stack(nets)
+    assert stacked.members == 3 and stacked.flat.shape == (3 * nets[0].flat.size,)
+    assert [p.shape for p in stacked.params] == [(3, 3, 5), (3, 1, 5), (3, 5, 2), (3, 1, 2)]
+    assert all(np.shares_memory(p, stacked.flat) for p in stacked.params)
+    for b, net in enumerate(nets):
+        member = stacked.member(b)
+        assert (member.layer_sizes, member.activation, member.members) == (
+            net.layer_sizes, "tanh", None)
+        assert np.array_equal(stacked.flat.reshape(3, -1)[b], net.flat)
+        assert all(np.array_equal(p, q) for p, q in zip(member.params, net.params))
+        assert np.shares_memory(member.flat, stacked.flat)
+        assert not np.shares_memory(net.flat, stacked.flat)
+        # member b's blob body is its slice of the stacked vector
+        assert nn.save_mlp_blob(member) == nn.save_mlp_blob(net)
+    stacked.member(1).params[2][0, 1] = 9.0
+    assert stacked.params[2][1, 0, 1] == 9.0
+    stacked.params[1][2, 0, 4] = -3.0
+    assert stacked.member(2).params[1][4] == -3.0
+
+    # a stacked critic runs a large batch as one pass, not in row blocks
+    critics = _perturbed_nets(rng, [3, 8, 1], "relu", 2)
+    x = rng.normal(size=(20_000, 3))
+    assert len(nn.row_blocks(len(x), 8)) > 2  # a plain critic would block it
+    out = nn.Mlp.stack(critics).forward(x)
+    assert out.shape == (2, len(x), 1)
+    assert all(np.allclose(out[b], net.forward(x), rtol=1e-12, atol=0)
+               for b, net in enumerate(critics))
+
+    for other in (stacked.copy(), pickle.loads(pickle.dumps(stacked))):
+        assert other.members == 3 and np.array_equal(other.flat, stacked.flat)
+        assert not np.shares_memory(other.flat, stacked.flat)
+        assert all(np.shares_memory(p, other.flat) for p in other.params)
+
+    for bad in ([], [nets[0], nn.Mlp.init([3, 4, 2], rng, activation="tanh")],
+                [nets[0], nn.Mlp.init([3, 5, 2], rng)], [stacked]):
+        with pytest.raises(InputError):
+            nn.Mlp.stack(bad)
+
+
 # ---------------------------------------------------------------------------
-# Gaussian heads
+# Diagonal Gaussians
 # ---------------------------------------------------------------------------
 
 def test_standard_normal_log_prob_at_origin():
-    head = nn.DiagGaussianHead(np.zeros(2), np.zeros(2))
-    assert nn.gaussian_log_prob(head, np.zeros(2)) == pytest.approx(-np.log(2 * np.pi))
+    assert nn.gaussian_log_prob(np.zeros(2), np.zeros(2), np.zeros(2)) == pytest.approx(
+        -np.log(2 * np.pi))
 
 
 def test_zero_noise_sample_is_mean():
-    head = nn.DiagGaussianHead(np.array([0.3, -1.0]), np.array([-2.0, 0.5]))
-    assert np.array_equal(head.mean + np.exp(head.log_std) * np.zeros(2), head.mean)
+    mean, log_std = np.array([0.3, -1.0]), np.array([-2.0, 0.5])
+    assert np.array_equal(mean + np.exp(log_std) * np.zeros(2), mean)
 
 
 def test_log_std_clamping_keeps_density_finite():
-    head = nn.DiagGaussianHead(np.zeros(2), np.array([-100.0, 100.0]))
-    assert head.log_std.tolist() == [nn.LOG_STD_MIN, nn.LOG_STD_MAX]
-    assert np.isfinite(nn.gaussian_log_prob(head, np.array([3.0, -3.0])))
+    log_std = nn.clamp_log_std(np.array([-100.0, 100.0]))
+    assert log_std.tolist() == [nn.LOG_STD_MIN, nn.LOG_STD_MAX]
+    assert np.isfinite(nn.gaussian_log_prob(np.zeros(2), log_std, np.array([3.0, -3.0])))
 
 
 def test_log_prob_gradients_match_finite_differences():
@@ -434,11 +521,11 @@ def test_log_prob_gradients_match_finite_differences():
             up[i] += h
             down[i] -= h
             if vec is mean:
-                fd = (nn.gaussian_log_prob(nn.DiagGaussianHead(up, log_std), x)
-                      - nn.gaussian_log_prob(nn.DiagGaussianHead(down, log_std), x)) / (2 * h)
+                fd = (nn.gaussian_log_prob(up, log_std, x)
+                      - nn.gaussian_log_prob(down, log_std, x)) / (2 * h)
             else:
-                fd = (nn.gaussian_log_prob(nn.DiagGaussianHead(mean, up), x)
-                      - nn.gaussian_log_prob(nn.DiagGaussianHead(mean, down), x)) / (2 * h)
+                fd = (nn.gaussian_log_prob(mean, up, x)
+                      - nn.gaussian_log_prob(mean, down, x)) / (2 * h)
             rel = abs(grad[i] - fd) / max(abs(fd), 1e-8)
             assert rel <= 1e-5
 
@@ -453,7 +540,7 @@ def test_squashed_log_prob_change_of_variables():
     action = scale * np.tanh(u)
     assert np.all(np.abs(action) < scale)
     lp = nn.squashed_gaussian_log_prob(mean, log_std, action, scale)
-    base = nn.gaussian_log_prob(nn.DiagGaussianHead(mean, log_std), u)
+    base = nn.gaussian_log_prob(mean, log_std, u)
     jac = np.sum(np.log(scale * (1 - np.tanh(u) ** 2)))
     assert lp == pytest.approx(base - jac, abs=1e-8)
 

@@ -298,10 +298,9 @@ def _awr_cotangent(bundle, batch, hp, dist, advantage):
     mean, log_std, raw, _ = dist
     n = len(batch.states)
     weights = np.exp(np.minimum(hp.beta_awr * advantage, np.log(hp.weight_clip)))
-    log_prob = nn.squashed_gaussian_log_prob(mean, log_std, batch.actions,
-                                             bundle.action_scale)
+    log_prob, u = nn.squashed_gaussian_log_prob(mean, log_std, batch.actions,
+                                                bundle.action_scale)
     loss = float(-np.mean(weights * log_prob))
-    u = nn.presquash_actions(batch.actions, bundle.action_scale)
     d_mean, d_log_std = nn.gaussian_log_prob_grads(mean, log_std, u)
     coeff = (-weights / n)[:, None]
     return loss, np.hstack([coeff * d_mean,

@@ -19,7 +19,6 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -224,7 +223,6 @@ def cmd_train(args) -> int:
     hp = _hyper_params(args)
     no_eval = resolve(args, "no_eval", bool, False)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset, rows = _run_training(data_dir, model_dir, algorithm, hp, args.seed,
                                   out, evaluate=not no_eval)
     _log(out, f"train algorithm={algorithm} data={data_dir} seed={args.seed} "
@@ -374,6 +372,7 @@ def cmd_sweep(args) -> int:
             payloads.append((data_dir, model_dir, algorithm, point_hp, param, value,
                              seed, str(run_dir), model_error))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only sweep loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:

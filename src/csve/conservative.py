@@ -169,8 +169,11 @@ def csve_fixed_point(policy: PolicyTable, empirical: TabularMdp,
     p_pi = policy_transition_matrix(empirical, policy)
     v = np.zeros(empirical.num_states)
     for iteration in range(max_iters):
-        nxt = r_pi + empirical.discount * (p_pi @ v) - correction
-        if np.max(np.abs(nxt - v)) <= tol:
+        nxt = p_pi @ v
+        nxt *= empirical.discount
+        nxt += r_pi
+        nxt -= correction
+        if abs(nxt - v).max() <= tol:
             return ValueTable(nxt), iteration + 1
         v = nxt
     raise ConvergenceError(f"no fixed point within {max_iters} iterations at tol {tol}")

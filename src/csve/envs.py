@@ -232,23 +232,21 @@ class GridWorld:
     # -- exact chain ---------------------------------------------------------
     def tabular_mdp(self, discount: float = 0.99) -> TabularMdp:
         """Exact MDP with the goal absorbing at zero reward; r(s,a) is the
-        probability of landing on the goal."""
+        probability of landing on the goal.  Each (s, a) entry sums its
+        direction terms in direction order, as a per-cell loop would."""
         n = self.SIZE * self.SIZE
         p = np.zeros((n, 4, n))
         r = np.zeros((n, 4))
-        for s in range(n):
-            if s == self.goal_index:
-                p[s, :, s] = 1.0
-                continue
-            row, col = s // self.SIZE, s % self.SIZE
+        p[self.goal_index, :, self.goal_index] = 1.0
+        cells = np.delete(np.arange(n), self.goal_index)
+        for d, (d_row, d_col) in enumerate(self.MOVES):
+            nxt = (np.clip(cells // self.SIZE + d_row, 0, self.SIZE - 1) * self.SIZE
+                   + np.clip(cells % self.SIZE + d_col, 0, self.SIZE - 1))
+            goal = cells[nxt == self.goal_index]
             for a in range(4):
-                for d in range(4):
-                    prob = (1.0 - self.slip if d == a else 0.0) + self.slip / 4.0
-                    nr, nc = self._move(row, col, d)
-                    nxt = nr * self.SIZE + nc
-                    p[s, a, nxt] += prob
-                    if nxt == self.goal_index:
-                        r[s, a] += prob
+                prob = (1.0 - self.slip if d == a else 0.0) + self.slip / 4.0
+                p[cells, a, nxt] += prob
+                r[goal, a] += prob
         rho = np.zeros(n)
         rho[self.start[0] * self.SIZE + self.start[1]] = 1.0
         return TabularMdp(p, r, rho, discount, r_max=1.0)

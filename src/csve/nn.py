@@ -341,16 +341,13 @@ _ATANH_CLIP = 1.0 - 1e-9
 
 
 def squashed_gaussian_log_prob(mean, log_std, actions, scale):
-    """log pi(a|s) for a = scale * tanh(u): Gaussian density of the presquash
-    point minus the log-Jacobian of the squash, summed over action dims."""
+    """(log pi(a|s), u) for a = scale * tanh(u): Gaussian density of the
+    presquash point u minus the log-Jacobian of the squash, summed over
+    action dims, and u itself."""
     a = np.clip(np.asarray(actions, dtype=np.float64) / scale, -_ATANH_CLIP, _ATANH_CLIP)
     jacobian = np.sum(np.log(scale * (1.0 - a * a)), axis=-1)
-    return gaussian_log_prob(mean, log_std, np.arctanh(a)) - jacobian
-
-
-def presquash_actions(actions, scale):
-    a = np.clip(np.asarray(actions, dtype=np.float64) / scale, -_ATANH_CLIP, _ATANH_CLIP)
-    return np.arctanh(a)
+    u = np.arctanh(a)
+    return gaussian_log_prob(mean, log_std, u) - jacobian, u
 
 
 # ---------------------------------------------------------------------------

@@ -276,12 +276,23 @@ def optimal_value_iteration(mdp: TabularMdp,
                             correction=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Value iteration V <- max_a [r + gamma P V] - correction from V = 0,
     until two iterates differ by at most 1e-12.  Returns the last iterate V
-    and its Q = r + gamma P V.  A zero correction gives the optimal values."""
+    and its Q = r + gamma P V.  A zero correction gives the optimal values.
+    Each sweep is one (S*A, S) product on a 2-D view of P."""
+    transition = mdp.transition.reshape(-1, mdp.num_states)
+    reward = mdp.reward.reshape(-1)
+
+    def backup(values):
+        q = transition @ values
+        q *= mdp.discount
+        q += reward
+        return q.reshape(mdp.reward.shape)
+
     v = np.zeros(mdp.num_states)
     for _ in range(1_000_000):
-        nxt = (mdp.reward + mdp.discount * (mdp.transition @ v)).max(axis=1) - correction
-        if np.max(np.abs(nxt - v)) <= 1e-12:
-            return nxt, mdp.reward + mdp.discount * (mdp.transition @ nxt)
+        nxt = backup(v).max(axis=1)
+        nxt -= correction
+        if abs(nxt - v).max() <= 1e-12:
+            return nxt, backup(nxt)
         v = nxt
     raise ConvergenceError("value iteration did not converge")
 

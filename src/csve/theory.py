@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -281,23 +282,27 @@ def _rollout_tabular_dataset(env, mdp: tab.TabularMdp, behavior: tab.PolicyTable
 
     Each categorical draw is one ``rng.random()`` looked up in a
     ``tab.choice_cdf`` table, the draw ``rng.choice(p=row)`` would make.
-    Reaching the goal resets without the 0.02 reset draw.
+    Reaching the goal resets without the 0.02 reset draw.  Every step takes
+    3 or 4 doubles, so the first ``3 * size + 1`` come in one block and any
+    further ones one at a time: the same doubles in the same order, and the
+    generator left where a per-draw loop leaves it.
     """
     initial_cdf = tab.choice_cdf(mdp.initial_dist).tolist()
     action_cdf = tab.choice_cdf(behavior.probs).tolist()
     next_cdf = tab.choice_cdf(mdp.transition).tolist()
     terminal = [env.is_terminal_index(s) for s in range(mdp.num_states)]
+    draw = chain(rng.random(3 * size + 1).tolist(), iter(rng.random, None)).__next__
     states, actions, next_states = [], [], []
-    state = bisect_right(initial_cdf, rng.random())
+    state = bisect_right(initial_cdf, draw())
     for _ in range(size):
-        action = bisect_right(action_cdf[state], rng.random())
-        nxt = bisect_right(next_cdf[state][action], rng.random())
+        action = bisect_right(action_cdf[state], draw())
+        nxt = bisect_right(next_cdf[state][action], draw())
         states.append(state)
         actions.append(action)
         next_states.append(nxt)
         state = nxt
-        if terminal[state] or rng.random() < 0.02:
-            state = bisect_right(initial_cdf, rng.random())
+        if terminal[state] or draw() < 0.02:
+            state = bisect_right(initial_cdf, draw())
     s = np.array(states, dtype=np.int64)
     a = np.array(actions, dtype=np.int64)
     return tab.TabularDataset.from_arrays(s, a, mdp.reward[s, a],

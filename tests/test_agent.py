@@ -390,7 +390,7 @@ def test_awr_zero_advantage_is_behavior_cloning():
                         np.zeros(2), np.zeros((2, 1)), np.zeros(2, dtype=bool))
     got = agent.awr_policy_loss(bundle, batch, hp)
     mean = 0.3 * batch.states[:, 0] + 0.1
-    log_prob = nn.squashed_gaussian_log_prob(
+    log_prob, _ = nn.squashed_gaussian_log_prob(
         mean[:, None], np.full((2, 1), -1.0), batch.actions, np.array([1.0]))
     assert got.loss == pytest.approx(float(-np.mean(log_prob)), abs=1e-12)
 

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +201,7 @@ def test_truncated_or_incomplete_json_sidecar_is_io_error(workspace, tmp_path, c
         assert sidecar in err
         if case == "missing_key":
             assert key in err
-        assert not (out / "metrics.csv").exists() and not (out / "eval.csv").exists()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["size_mismatch", "nan_state", "inf_next_state",
@@ -558,9 +561,19 @@ def test_dataset_without_env_or_anchors_is_io_error_before_work(workspace, tmp_p
     assert run([*argv, "--out", out]) == 4
     err = capsys.readouterr().err
     assert err == f"i/o error: {bad / 'meta.json'} lacks {key}\n"
-    assert not (out / "metrics.csv").exists() and not (out / "eval.csv").exists()
+    assert not out.exists()
     if command == "train":  # a run that never evaluates needs no anchors
         assert run([*argv, "--no-eval", "true", "--out", tmp_path / "no_eval"]) == 0
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    code = "import sys, csve.cli; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_verify_theory_negative_trials_is_config_error(tmp_path, capsys):

@@ -238,6 +238,34 @@ def test_fixed_point_matches_backup_iteration_exactly():
         assert np.array_equal(v, v_hat.values)
 
 
+def test_fixed_point_matches_expression_loop_exactly():
+    """The in-place sweep keeps the float operations of
+    ``r_pi + gamma * (P_pi @ v) - correction``: same values, same count."""
+    rng = np.random.default_rng(11)
+    for s_dim in (1, 2, 7, 64):
+        for alpha in (0.0, 2.3):
+            for tol in (1e-6, 1e-10, 1e-13):
+                mdp = tab.random_mdp(s_dim, 4, float(rng.uniform(0.5, 0.97)), rng)
+                policy = tab.random_policy(s_dim, 4, rng)
+                d_u = tab.StateDistribution(rng.dirichlet(np.ones(s_dim)))
+                d = tab.random_distribution(s_dim, rng, support=d_u.support)
+                penalty = cons.CsvePenaltyConfig(alpha, d, d_u)
+                v_hat, iters = cons.csve_fixed_point(policy, mdp, penalty, tol=tol)
+
+                correction = penalty.alpha * penalty.bracket()
+                r_pi = tab.policy_reward_vector(mdp, policy)
+                p_pi = tab.policy_transition_matrix(mdp, policy)
+                v = np.zeros(s_dim)
+                for count in range(1, 100_001):
+                    nxt = r_pi + mdp.discount * (p_pi @ v) - correction
+                    done = np.max(np.abs(nxt - v)) <= tol
+                    v = nxt
+                    if done:
+                        break
+                assert count == iters
+                assert np.array_equal(v, v_hat.values)
+
+
 # ---------------------------------------------------------------------------
 # Contraction and structural properties
 # ---------------------------------------------------------------------------

@@ -539,7 +539,8 @@ def test_squashed_log_prob_change_of_variables():
     u = mean + np.exp(log_std) * noise
     action = scale * np.tanh(u)
     assert np.all(np.abs(action) < scale)
-    lp = nn.squashed_gaussian_log_prob(mean, log_std, action, scale)
+    lp, presquash = nn.squashed_gaussian_log_prob(mean, log_std, action, scale)
+    assert presquash == pytest.approx(u, abs=1e-8)
     base = nn.gaussian_log_prob(mean, log_std, u)
     jac = np.sum(np.log(scale * (1 - np.tanh(u) ** 2)))
     assert lp == pytest.approx(base - jac, abs=1e-8)

@@ -117,6 +117,84 @@ def test_bellman_consistency_on_random_mdps():
 
 
 # ---------------------------------------------------------------------------
+# optimal_value_iteration and the gridworld chain
+# ---------------------------------------------------------------------------
+
+def reference_value_iteration(mdp, correction=0.0):
+    """Value iteration sweeping the (S, A, S) tensor, one expression a sweep."""
+    v = np.zeros(mdp.num_states)
+    while True:
+        nxt = (mdp.reward + mdp.discount * (mdp.transition @ v)).max(axis=1) - correction
+        if np.max(np.abs(nxt - v)) <= 1e-12:
+            return nxt, mdp.reward + mdp.discount * (mdp.transition @ nxt)
+        v = nxt
+
+
+def reference_gridworld_mdp(env, discount):
+    """The gridworld chain built cell by cell through ``GridWorld._move``."""
+    n = env.SIZE * env.SIZE
+    p = np.zeros((n, 4, n))
+    r = np.zeros((n, 4))
+    for s in range(n):
+        if s == env.goal_index:
+            p[s, :, s] = 1.0
+            continue
+        for a in range(4):
+            for d in range(4):
+                prob = (1.0 - env.slip if d == a else 0.0) + env.slip / 4.0
+                nr, nc = env._move(s // env.SIZE, s % env.SIZE, d)
+                nxt = nr * env.SIZE + nc
+                p[s, a, nxt] += prob
+                if nxt == env.goal_index:
+                    r[s, a] += prob
+    rho = np.zeros(n)
+    rho[env.start[0] * env.SIZE + env.start[1]] = 1.0
+    return tab.TabularMdp(p, r, rho, discount, r_max=1.0)
+
+
+GRID_CASES = [(slip, goal) for slip in (0.0, 0.05, 0.2, 0.99) for goal in ((7, 7), (3, 4))]
+
+
+@pytest.mark.parametrize("slip, goal", GRID_CASES)
+def test_gridworld_mdp_matches_cell_loop(slip, goal):
+    env = GridWorld(slip=slip, goal=goal)
+    got, want = env.tabular_mdp(discount=0.95), reference_gridworld_mdp(env, 0.95)
+    for name in ("transition", "reward", "initial_dist"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.discount == want.discount and got.r_max == want.r_max
+
+
+@pytest.mark.parametrize("slip, goal", GRID_CASES)
+def test_value_iteration_matches_tensor_sweep_on_gridworld(slip, goal):
+    """The 2-D view's products equal the tensor's bit for bit when A is 4."""
+    mdp = GridWorld(slip=slip, goal=goal).tabular_mdp(discount=0.95)
+    correction = np.random.default_rng(3).uniform(-0.01, 0.05, size=mdp.num_states)
+    for corr in (0.0, correction):
+        v, q = tab.optimal_value_iteration(mdp, corr)
+        v_ref, q_ref = reference_value_iteration(mdp, corr)
+        assert np.array_equal(v, v_ref) and np.array_equal(q, q_ref)
+        assert q.shape == (mdp.num_states, mdp.num_actions)
+
+
+@pytest.mark.parametrize("num_actions", [1, 3, 5])
+def test_value_iteration_matches_tensor_sweep_on_random_mdps(num_actions):
+    """Off a multiple of 4 actions the 2-D product may round differently:
+    values agree within 1e-12 and the greedy action wherever it is clear."""
+    rng = np.random.default_rng(num_actions)
+    for _ in range(30):
+        s_dim = int(rng.integers(1, 20))
+        mdp = tab.random_mdp(s_dim, num_actions, float(rng.uniform(0.5, 0.95)), rng)
+        correction = rng.uniform(-0.05, 0.05, size=s_dim)
+        for corr in (0.0, correction):
+            v, q = tab.optimal_value_iteration(mdp, corr)
+            v_ref, q_ref = reference_value_iteration(mdp, corr)
+            assert np.max(np.abs(v - v_ref)) <= 1e-12
+            ordered = np.sort(q_ref, axis=1)
+            clear = np.all(np.diff(ordered, axis=1) > 1e-9, axis=1)
+            assert np.array_equal(q.argmax(axis=1)[clear], q_ref.argmax(axis=1)[clear])
+
+
+# ---------------------------------------------------------------------------
 # discounted_state_occupancy
 # ---------------------------------------------------------------------------
 
@@ -286,16 +364,36 @@ def test_sample_dataset_matches_choice_loop(num_actions, size):
         assert fast_rng.random() == slow_rng.random()
 
 
-@pytest.mark.parametrize("slip", [0.05, 0.2])
-def test_rollout_dataset_matches_choice_loop(slip):
+def doubles_drawn(seed, rng):
+    """How many doubles ``rng``, seeded with ``seed``, has drawn."""
+    probe, count = np.random.default_rng(seed), 0
+    while probe.bit_generator.state != rng.bit_generator.state:
+        probe.random()
+        count += 1
+    return count
+
+
+# The rollout takes its first 3 * size + 1 doubles in one block; a 0.02 reset
+# draws one more.  At slip 0.2, seed 0's single step resets: it reads past the block.
+@pytest.mark.parametrize("slip, size, seeds", [
+    pytest.param(0.05, 1500, range(3), id="0.05"),
+    pytest.param(0.2, 1500, range(3), id="0.2"),
+    pytest.param(0.05, 1, range(3), id="0.05-size1"),
+    pytest.param(0.2, 1, (0,), id="0.2-size1-past-block"),
+])
+def test_rollout_dataset_matches_choice_loop(slip, size, seeds):
     env = GridWorld(slip=slip)
     mdp = env.tabular_mdp(discount=0.95)
     behavior = env.epsilon_greedy_table(mdp, epsilon=0.4)
-    for seed in range(3):
+    for seed in seeds:
         fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = theory._rollout_tabular_dataset(env, mdp, behavior, 1500, fast_rng)
-        want = reference_rollout(env, mdp, behavior, 1500, slow_rng)
-        assert np.any(want.next_states == env.goal_index)  # the goal reset ran
+        got = theory._rollout_tabular_dataset(env, mdp, behavior, size, fast_rng)
+        want = reference_rollout(env, mdp, behavior, size, slow_rng)
+        assert got.num_transitions == size
+        if size > 1:
+            assert np.any(want.next_states == env.goal_index)  # the goal reset ran
+        if size > 1 or len(seeds) == 1:
+            assert doubles_drawn(seed, slow_rng) > 3 * size + 1
         assert_same_dataset(got, want)
         assert fast_rng.random() == slow_rng.random()
 

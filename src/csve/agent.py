@@ -67,6 +67,8 @@ class CsveHyperParams:
             (0.0 < self.gamma < 1.0, "gamma must lie in (0, 1)"),
             (self.n_action_samples >= 1, "n_action_samples must be at least 1"),
             (self.batch_size >= 1, "batch_size must be at least 1"),
+            (all(width >= 1 for width in self.hidden_sizes),
+             f"hidden_sizes must be positive, got {self.hidden_sizes}"),
             (self.total_steps >= 0, "total_steps must be nonnegative"),
             (self.lr_actor > 0 and self.lr_critic > 0 and self.lr_alpha > 0,
              "learning rates must be positive"),

@@ -480,6 +480,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         args.conf = _load_config_section(args.config, args.command)
         return args.func(args)
     except ConfigError as err:

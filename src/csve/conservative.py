@@ -29,13 +29,15 @@ from .tabular import (
     discounted_state_occupancy,
     effective_counts,
     exact_policy_evaluation,
-    optimal_value_iteration,
     policy_reward_vector,
     policy_transition_matrix,
     sampling_error_vector,
+    solve_policy_values,
 )
 
 REPORT_TOL = 1e-9
+TIE_RTOL = 1e-12
+POLICY_ITERATION_ROUNDS = 1_000
 
 
 @dataclass(frozen=True)
@@ -333,13 +335,28 @@ def penalized_objective(policy: PolicyTable, empirical: TabularMdp,
 
 def conservative_value_iteration(empirical: TabularMdp,
                                  penalty: CsvePenaltyConfig) -> tuple[ValueTable, PolicyTable]:
-    """Optimal-control variant of the penalized iteration:
-    V(s) <- max_a [r(s,a) + gamma sum P V] - alpha * bracket(s).
-    Returns the optimal conservative value and its greedy deterministic policy."""
-    v, q = optimal_value_iteration(empirical, penalty.alpha * penalty.bracket())
-    greedy = np.zeros_like(empirical.reward)
-    greedy[np.arange(empirical.num_states), q.argmax(axis=1)] = 1.0
-    return ValueTable(v), PolicyTable(greedy)
+    """Optimal-control variant of the penalized iteration,
+    V(s) = max_a [r(s,a) + gamma sum P V] - alpha * bracket(s), solved by
+    policy iteration from each state's reward argmax: one linear solve per
+    round, and a state switches action only where another beats its Q by
+    more than TIE_RTOL * (1 + |Q|).  Returns the exact value and the greedy
+    deterministic policy that takes the lowest-index action within that
+    tolerance of the state's max Q."""
+    p, r, g = empirical.transition, empirical.reward, empirical.discount
+    correction = penalty.alpha * penalty.bracket()
+    states, actions = np.arange(empirical.num_states), r.argmax(axis=1)
+    for _ in range(POLICY_ITERATION_ROUNDS):
+        v = solve_policy_values(p[states, actions], r[states, actions] - correction, g)
+        q = (p.reshape(-1, len(v)) @ v).reshape(r.shape)
+        q *= g
+        q += r
+        best, current = q.max(axis=1), q[states, actions]
+        switch = best - current > TIE_RTOL * (1.0 + abs(current))
+        if not switch.any():
+            near = q >= (best - TIE_RTOL * (1.0 + abs(best)))[:, None]
+            return ValueTable(v), PolicyTable(np.eye(r.shape[1])[near.argmax(axis=1)])
+        actions = np.where(switch, q.argmax(axis=1), actions)
+    raise ConvergenceError("conservative policy iteration did not converge")
 
 
 def safe_improvement_breakdown(mdp: TabularMdp, empirical: TabularMdp,

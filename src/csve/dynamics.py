@@ -41,6 +41,8 @@ class EnsembleConfig:
             raise InputError("holdout fraction must lie in (0, 1)")
         if self.patience < 1 or self.max_epochs < 1:
             raise InputError("patience and max_epochs must be positive")
+        if not all(width >= 1 for width in self.hidden_sizes):
+            raise InputError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
 
 
 @dataclass

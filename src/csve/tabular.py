@@ -256,20 +256,24 @@ def policy_reward_vector(mdp: TabularMdp, policy: PolicyTable) -> np.ndarray:
     return np.sum(policy.probs * mdp.reward, axis=1)
 
 
-def exact_policy_evaluation(mdp: TabularMdp, policy: PolicyTable) -> ValueTable:
-    """Solve (I - gamma P_pi) V = r_pi exactly by dense factorization.
+def solve_policy_values(p_pi: np.ndarray, r_pi: np.ndarray, discount: float) -> np.ndarray:
+    """Solve (I - discount P_pi) V = r_pi exactly by dense factorization.
 
     The system is nonsingular for any discount < 1; a residual above
     SOLVE_RTOL raises NumericError.
     """
-    p_pi = policy_transition_matrix(mdp, policy)
-    r_pi = policy_reward_vector(mdp, policy)
-    a = np.eye(mdp.num_states) - mdp.discount * p_pi
+    a = np.eye(p_pi.shape[0]) - discount * p_pi
     v = np.linalg.solve(a, r_pi)
     residual = np.max(np.abs(a @ v - r_pi))
     if residual > SOLVE_RTOL:
         raise NumericError(f"policy evaluation residual {residual:.3e} exceeds {SOLVE_RTOL}")
-    return ValueTable(v)
+    return v
+
+
+def exact_policy_evaluation(mdp: TabularMdp, policy: PolicyTable) -> ValueTable:
+    """V_pi from one ``solve_policy_values`` on P_pi and r_pi."""
+    return ValueTable(solve_policy_values(policy_transition_matrix(mdp, policy),
+                                          policy_reward_vector(mdp, policy), mdp.discount))
 
 
 def optimal_value_iteration(mdp: TabularMdp,

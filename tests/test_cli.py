@@ -566,6 +566,42 @@ def test_dataset_without_env_or_anchors_is_io_error_before_work(workspace, tmp_p
         assert run([*argv, "--no-eval", "true", "--out", tmp_path / "no_eval"]) == 0
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train-dynamics", "train", "eval",
+                                     "verify-theory", "sweep"])
+def test_negative_seed_is_one_line_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--seed", -1, "--out", out]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-4"])
+@pytest.mark.parametrize("command, source", [
+    ("train-dynamics", "flag"), ("train", "flag"), ("sweep", "flag"),
+    ("train-dynamics", "config"), ("train", "config"),
+])
+def test_hidden_width_below_one_is_one_line_error(workspace, tmp_path, capsys, command,
+                                                  source, width):
+    _, data_dir, model_dir = workspace
+    argv = [command, "--data", data_dir]
+    if command == "sweep":
+        argv += ["--model", model_dir, "--param", "tau_budget", "--values", "5"]
+    if source == "flag":
+        argv += ["--hidden-sizes", width]
+    else:
+        config = tmp_path / "widths.ini"
+        config.write_text(f"[{command}]\nhidden_sizes = {width}\n")
+        argv += ["--config", config]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith(
+        f"hidden_sizes must be positive, got ({width},)\n"), err
+    assert not out.exists()
+
+
 def test_importing_the_cli_does_not_load_multiprocessing():
     code = "import sys, csve.cli; print('concurrent.futures.process' in sys.modules)"
     src = str(Path(cli.__file__).resolve().parent.parent)

@@ -6,7 +6,7 @@ import pytest
 from csve import conservative as cons
 from csve import tabular as tab
 from csve import theory
-from csve.errors import DegenerateDistributionError, SupportError
+from csve.errors import ConvergenceError, DegenerateDistributionError, SupportError
 
 
 def dist(*probs):
@@ -583,6 +583,91 @@ def test_safe_improvement_zero_error_zero_constants():
     assert breakdown.sampling_term == 0.0
     assert breakdown.zeta == pytest.approx(-breakdown.improvement_term)
     assert breakdown.improvement_holds
+
+
+# ---------------------------------------------------------------------------
+# conservative_value_iteration: policy iteration against value iteration
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records one entry per linear solve conservative_value_iteration makes."""
+    calls = []
+    solve = tab.solve_policy_values
+    monkeypatch.setattr(cons, "solve_policy_values",
+                        lambda *args: calls.append(None) or solve(*args))
+    return calls
+
+
+def assert_matches_value_iteration(empirical, penalty, solves):
+    """Values within 1e-9 of the value-iteration oracle, the same greedy
+    action wherever the oracle's top two Q values differ by more than 1e-9,
+    and at most 20 improvement rounds."""
+    solves.clear()
+    v, greedy = cons.conservative_value_iteration(empirical, penalty)
+    assert 1 <= len(solves) <= 20
+    v_ref, q_ref = tab.optimal_value_iteration(empirical, penalty.alpha * penalty.bracket())
+    assert np.max(np.abs(v.values - v_ref)) <= 1e-9
+    ordered = np.sort(q_ref, axis=1)
+    runner_up = ordered[:, -2] if empirical.num_actions > 1 else -np.inf
+    clear = ordered[:, -1] - runner_up > 1e-9
+    actions = greedy.probs.argmax(axis=1)
+    assert np.array_equal(greedy.probs, np.eye(empirical.num_actions)[actions])
+    assert np.array_equal(actions[clear], q_ref.argmax(axis=1)[clear])
+
+
+def test_policy_iteration_matches_value_iteration_on_random_mdps(solves):
+    rng = np.random.default_rng(15)
+    for _ in range(150):
+        num_states, num_actions = int(rng.integers(2, 13)), int(rng.integers(1, 6))
+        mdp = tab.random_mdp(num_states, num_actions, float(rng.uniform(0.3, 0.99)), rng)
+        d_u = tab.StateDistribution(rng.dirichlet(np.ones(num_states)))
+        d = tab.random_distribution(num_states, rng, support=d_u.support)
+        penalty = cons.CsvePenaltyConfig(float(rng.uniform(0.0, 50.0)), d, d_u)
+        assert_matches_value_iteration(mdp, penalty, solves)
+
+
+def test_policy_iteration_matches_value_iteration_on_safe_improvement_mdps(monkeypatch,
+                                                                           solves):
+    inputs = []
+    solve = cons.conservative_value_iteration
+    monkeypatch.setattr(cons, "conservative_value_iteration",
+                        lambda empirical, penalty: inputs.append((empirical, penalty))
+                        or solve(empirical, penalty))
+    theory.run_safe_improvement_trials(50, seed0=0)
+    monkeypatch.setattr(cons, "conservative_value_iteration", solve)
+    assert len(inputs) == 50
+    for empirical, penalty in inputs:
+        assert_matches_value_iteration(empirical, penalty, solves)
+
+
+def tie_mdp(reward_00=0.0, reward_02=0.5):
+    """State 0: action 0 stays, actions 1 and 2 both move to the absorbing
+    state 1 (two moves into one wall), rewards (reward_00, 0.5, reward_02).
+    State 1: every action stays, reward 0."""
+    p = np.zeros((2, 3, 2))
+    p[0, 0, 0] = p[0, 1, 1] = p[0, 2, 1] = 1.0
+    p[1, :, 1] = 1.0
+    r = np.array([[reward_00, 0.5, reward_02], [0.0, 0.0, 0.0]])
+    mdp = tab.TabularMdp(p, r, np.array([1.0, 0.0]), 0.9, 1.0)
+    return mdp, cons.CsvePenaltyConfig(1.0, dist(0.5, 0.5), dist(0.5, 0.5))
+
+
+@pytest.mark.parametrize("reward_02", [0.5, np.nextafter(0.5, 1.0)])
+def test_policy_iteration_breaks_ties_toward_the_lowest_action(reward_02):
+    mdp, penalty = tie_mdp(reward_02=reward_02)
+    v, greedy = cons.conservative_value_iteration(mdp, penalty)
+    assert greedy.probs.argmax(axis=1).tolist() == [1, 0]
+    assert v.values.tolist() == [reward_02, 0.0]
+
+
+def test_policy_iteration_raises_at_its_round_cap(monkeypatch):
+    mdp, penalty = tie_mdp(reward_00=0.4)  # staying (0.4 / 0.1 = 4) beats the reward argmax
+    monkeypatch.setattr(cons, "POLICY_ITERATION_ROUNDS", 2)
+    assert cons.conservative_value_iteration(mdp, penalty)[1].probs.argmax(axis=1)[0] == 0
+    monkeypatch.setattr(cons, "POLICY_ITERATION_ROUNDS", 1)
+    with pytest.raises(ConvergenceError):
+        cons.conservative_value_iteration(mdp, penalty)
 
 
 def test_interpolation_trivial_and_random():

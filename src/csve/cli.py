@@ -354,6 +354,10 @@ def cmd_sweep(args) -> int:
     values = [_coerce(v, kind) for v in values_raw.split(",") if v]
     if not values:
         raise ConfigError("sweep grid is empty")
+    names = [f"{param}={value:g}" for value in values]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"sweep values {values_raw} give two points the run name {name}")
     # every point's settings are checked before any point runs
     point_hps = [hp if param == "model_frac" else dataclasses.replace(hp, **{param: value})
                  for value in values]
@@ -365,10 +369,10 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payloads = []
-    for value, point_hp in zip(values, point_hps):
+    for value, point_hp, name in zip(values, point_hps, names):
         for k in range(n_seeds):
             seed = args.seed + k
-            run_dir = out / "runs" / f"{param}={value:g}_seed{seed}"
+            run_dir = out / "runs" / f"{name}_seed{seed}"
             payloads.append((data_dir, model_dir, algorithm, point_hp, param, value,
                              seed, str(run_dir), model_error))
     if workers > 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, ConvergenceError, SupportError
+from .errors import DegenerateDistributionError, SupportError
 from .tabular import (
     PolicyTable,
     QTable,
@@ -27,8 +27,8 @@ from .tabular import (
     TabularMdp,
     ValueTable,
     discounted_state_occupancy,
-    effective_counts,
     exact_policy_evaluation,
+    policy_iteration,
     policy_reward_vector,
     policy_transition_matrix,
     sampling_error_vector,
@@ -36,8 +36,6 @@ from .tabular import (
 )
 
 REPORT_TOL = 1e-9
-TIE_RTOL = 1e-12
-POLICY_ITERATION_ROUNDS = 1_000
 
 
 @dataclass(frozen=True)
@@ -155,30 +153,13 @@ def csve_objective_argmin(v: ValueTable, policy: PolicyTable, empirical: Tabular
 
 
 def csve_fixed_point(policy: PolicyTable, empirical: TabularMdp,
-                     penalty: CsvePenaltyConfig, tol: float = 1e-10,
-                     max_iters: int = 100_000) -> tuple[ValueTable, int]:
-    """Picard-iterate the penalized operator to its unique fixed point.
-
-    The operator is a gamma-contraction in the sup norm (the penalty term
-    cancels between iterates), so the residual shrinks geometrically and
-    the iteration count is bounded by
-    ceil(log(tol * (1-gamma) / r0) / log(gamma)) + 1 for initial residual r0.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    correction = penalty.alpha * penalty.bracket()
-    r_pi = policy_reward_vector(empirical, policy)
+                     penalty: CsvePenaltyConfig) -> tuple[ValueTable, int]:
+    """The unique fixed point of the penalized operator, a gamma-contraction
+    in the sup norm: one solve of (I - gamma P_pi) V = r_pi - alpha * bracket."""
+    r_pi = policy_reward_vector(empirical, policy) - penalty.alpha * penalty.bracket()
     p_pi = policy_transition_matrix(empirical, policy)
-    v = np.zeros(empirical.num_states)
-    for iteration in range(max_iters):
-        nxt = p_pi @ v
-        nxt *= empirical.discount
-        nxt += r_pi
-        nxt -= correction
-        if abs(nxt - v).max() <= tol:
-            return ValueTable(nxt), iteration + 1
-        v = nxt
-    raise ConvergenceError(f"no fixed point within {max_iters} iterations at tol {tol}")
+    # the solve count, always 1, stays because bench/checks.py and bench/spans.py unpack it
+    return ValueTable(solve_policy_values(p_pi, r_pi, empirical.discount)), 1
 
 
 def cql_q_operator(q: QTable, policy: PolicyTable, mu: PolicyTable | None,
@@ -282,7 +263,7 @@ def certify_lower_bound_under_data(mdp: TabularMdp, empirical: TabularMdp,
     v_true = exact_policy_evaluation(mdp, policy)
     errors = sampling_error_vector(dataset, sem, mdp, policy)
     p_pi = policy_transition_matrix(mdp, policy)
-    weighted = np.linalg.solve(np.eye(mdp.num_states) - mdp.discount * p_pi, errors)
+    weighted = solve_policy_values(p_pi, errors, mdp.discount)
     du = penalty.d_u.probs
     lhs = float(du @ v_hat.values)
     rhs = float(du @ v_true.values + du @ weighted)
@@ -337,26 +318,8 @@ def conservative_value_iteration(empirical: TabularMdp,
                                  penalty: CsvePenaltyConfig) -> tuple[ValueTable, PolicyTable]:
     """Optimal-control variant of the penalized iteration,
     V(s) = max_a [r(s,a) + gamma sum P V] - alpha * bracket(s), solved by
-    policy iteration from each state's reward argmax: one linear solve per
-    round, and a state switches action only where another beats its Q by
-    more than TIE_RTOL * (1 + |Q|).  Returns the exact value and the greedy
-    deterministic policy that takes the lowest-index action within that
-    tolerance of the state's max Q."""
-    p, r, g = empirical.transition, empirical.reward, empirical.discount
-    correction = penalty.alpha * penalty.bracket()
-    states, actions = np.arange(empirical.num_states), r.argmax(axis=1)
-    for _ in range(POLICY_ITERATION_ROUNDS):
-        v = solve_policy_values(p[states, actions], r[states, actions] - correction, g)
-        q = (p.reshape(-1, len(v)) @ v).reshape(r.shape)
-        q *= g
-        q += r
-        best, current = q.max(axis=1), q[states, actions]
-        switch = best - current > TIE_RTOL * (1.0 + abs(current))
-        if not switch.any():
-            near = q >= (best - TIE_RTOL * (1.0 + abs(best)))[:, None]
-            return ValueTable(v), PolicyTable(np.eye(r.shape[1])[near.argmax(axis=1)])
-        actions = np.where(switch, q.argmax(axis=1), actions)
-    raise ConvergenceError("conservative policy iteration did not converge")
+    ``policy_iteration``: the exact value and its greedy deterministic policy."""
+    return policy_iteration(empirical, penalty.alpha * penalty.bracket())
 
 
 def safe_improvement_breakdown(mdp: TabularMdp, empirical: TabularMdp,

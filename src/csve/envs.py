@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .tabular import PolicyTable, TabularMdp, choice_cdf, optimal_value_iteration
+from .tabular import PolicyTable, TabularMdp, choice_cdf, policy_iteration
 
 ENV_NAMES = ("gridworld", "pointmass2d", "pendulum")
 TIERS = ("random", "medium", "expert")
@@ -252,10 +252,11 @@ class GridWorld:
         return TabularMdp(p, r, rho, discount, r_max=1.0)
 
     def epsilon_greedy_table(self, mdp: TabularMdp, epsilon: float) -> PolicyTable:
-        """epsilon-greedy policy on the exact optimal Q of ``mdp``."""
-        _, q = optimal_value_iteration(mdp)
+        """epsilon-greedy policy around the optimal greedy policy of ``mdp``,
+        whose exact ties go to the lowest-index action."""
+        _, greedy = policy_iteration(mdp)
         probs = np.full((mdp.num_states, mdp.num_actions), epsilon / mdp.num_actions)
-        probs[np.arange(mdp.num_states), q.argmax(axis=1)] += 1.0 - epsilon
+        probs[np.arange(mdp.num_states), greedy.probs.argmax(axis=1)] += 1.0 - epsilon
         return PolicyTable(probs)
 
 

@@ -1,9 +1,10 @@
 """Exact finite-MDP primitives.
 
 Transition tensors, reward tables, policies and datasets live here, together
-with the exact evaluation oracles (linear-solve policy evaluation, discounted
-occupancy) that the certification harness compares against.  Everything is
-float64 and immutable after construction; operations are pure functions.
+with the exact oracles the certification harness compares against: one
+linear solve for policy evaluation and discounted occupancy, and policy
+iteration for control.  Everything is float64 and immutable after
+construction; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from .errors import ConvergenceError, InputError, NumericError
 
 PROB_ATOL = 1e-12
 SOLVE_RTOL = 1e-10
+TIE_RTOL = 1e-12
+POLICY_ITERATION_ROUNDS = 1_000
 
 DIST_KINDS = ("empirical_marginal", "discounted_occupancy", "model_next_state", "custom")
 
@@ -260,13 +263,14 @@ def solve_policy_values(p_pi: np.ndarray, r_pi: np.ndarray, discount: float) -> 
     """Solve (I - discount P_pi) V = r_pi exactly by dense factorization.
 
     The system is nonsingular for any discount < 1; a residual above
-    SOLVE_RTOL raises NumericError.
+    SOLVE_RTOL * (1 + max |r_pi|) raises NumericError.
     """
     a = np.eye(p_pi.shape[0]) - discount * p_pi
     v = np.linalg.solve(a, r_pi)
     residual = np.max(np.abs(a @ v - r_pi))
-    if residual > SOLVE_RTOL:
-        raise NumericError(f"policy evaluation residual {residual:.3e} exceeds {SOLVE_RTOL}")
+    bound = SOLVE_RTOL * (1.0 + np.max(np.abs(r_pi)))
+    if residual > bound:
+        raise NumericError(f"linear solve residual {residual:.3e} exceeds {bound:.3e}")
     return v
 
 
@@ -276,36 +280,34 @@ def exact_policy_evaluation(mdp: TabularMdp, policy: PolicyTable) -> ValueTable:
                                           policy_reward_vector(mdp, policy), mdp.discount))
 
 
-def optimal_value_iteration(mdp: TabularMdp,
-                            correction=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Value iteration V <- max_a [r + gamma P V] - correction from V = 0,
-    until two iterates differ by at most 1e-12.  Returns the last iterate V
-    and its Q = r + gamma P V.  A zero correction gives the optimal values.
-    Each sweep is one (S*A, S) product on a 2-D view of P."""
-    transition = mdp.transition.reshape(-1, mdp.num_states)
-    reward = mdp.reward.reshape(-1)
-
-    def backup(values):
-        q = transition @ values
-        q *= mdp.discount
-        q += reward
-        return q.reshape(mdp.reward.shape)
-
-    v = np.zeros(mdp.num_states)
-    for _ in range(1_000_000):
-        nxt = backup(v).max(axis=1)
-        nxt -= correction
-        if abs(nxt - v).max() <= 1e-12:
-            return nxt, backup(nxt)
-        v = nxt
-    raise ConvergenceError("value iteration did not converge")
+def policy_iteration(mdp: TabularMdp, correction=0.0) -> tuple[ValueTable, PolicyTable]:
+    """Solve V(s) = max_a [r(s,a) + gamma sum P V] - correction(s) by policy
+    iteration from each state's reward argmax: one linear solve per round,
+    and a state switches action only where another beats its Q by more than
+    TIE_RTOL * (1 + |Q|).  Returns the exact value and the greedy
+    deterministic policy that takes the lowest-index action within that
+    tolerance of the state's max Q.  A zero correction gives the optimal
+    values."""
+    p, r, g = mdp.transition, mdp.reward, mdp.discount
+    states, actions = np.arange(mdp.num_states), r.argmax(axis=1)
+    for _ in range(POLICY_ITERATION_ROUNDS):
+        v = solve_policy_values(p[states, actions], r[states, actions] - correction, g)
+        q = (p.reshape(-1, len(v)) @ v).reshape(r.shape)
+        q *= g
+        q += r
+        best, current = q.max(axis=1), q[states, actions]
+        switch = best - current > TIE_RTOL * (1.0 + abs(current))
+        if not switch.any():
+            near = q >= (best - TIE_RTOL * (1.0 + abs(best)))[:, None]
+            return ValueTable(v), PolicyTable(np.eye(r.shape[1])[near.argmax(axis=1)])
+        actions = np.where(switch, q.argmax(axis=1), actions)
+    raise ConvergenceError("policy iteration did not converge")
 
 
 def discounted_state_occupancy(mdp: TabularMdp, policy: PolicyTable) -> StateDistribution:
     """Normalized discounted visitation d_pi = (1-gamma) rho^T (I - gamma P_pi)^-1."""
     p_pi = policy_transition_matrix(mdp, policy)
-    a = np.eye(mdp.num_states) - mdp.discount * p_pi
-    occ = (1.0 - mdp.discount) * np.linalg.solve(a.T, mdp.initial_dist)
+    occ = (1.0 - mdp.discount) * solve_policy_values(p_pi.T, mdp.initial_dist, mdp.discount)
     occ = np.clip(occ, 0.0, None)
     total = occ.sum()
     if abs(total - 1.0) > 1e-10:

@@ -465,6 +465,8 @@ def test_sweep_loads_once_per_point_and_reports_once(workspace, tmp_path, monkey
     ("hidden_sizes", "16", "sweep parameter 'hidden_sizes' is not a numeric"),
     ("adaptive_alpha", "1", "sweep parameter 'adaptive_alpha' is not a numeric"),
     ("batch_size", "8,0", "batch_size must be at least 1"),
+    ("tau_budget", "0.1,0.1000001", "give two points the run name tau_budget=0.1"),
+    ("batch_size", "8,16,8", "give two points the run name batch_size=8"),
 ])
 def test_sweep_rejects_bad_values_with_one_line(workspace, tmp_path, capsys, param, values,
                                                 message):
@@ -476,7 +478,7 @@ def test_sweep_rejects_bad_values_with_one_line(workspace, tmp_path, capsys, par
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert message in err
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_sweep_of_an_int_parameter_runs_with_ints(workspace, tmp_path):

@@ -155,7 +155,7 @@ def test_fixed_point_alpha_zero_equals_exact_evaluation():
     policy = tab.random_policy(5, 2, rng)
     penalty = cons.CsvePenaltyConfig(0.0, tab.StateDistribution(np.full(5, 0.2)),
                                      tab.StateDistribution(np.full(5, 0.2)))
-    v_hat, _ = cons.csve_fixed_point(policy, mdp, penalty, tol=1e-12)
+    v_hat, _ = cons.csve_fixed_point(policy, mdp, penalty)
     v_exact = tab.exact_policy_evaluation(mdp, policy)
     assert np.max(np.abs(v_hat.values - v_exact.values)) < 1e-10
 
@@ -168,7 +168,7 @@ def test_fixed_point_shifted_geometric_closed_form():
     p[1, 0, 1] = 1.0
     mdp = tab.TabularMdp(p, np.zeros((2, 1)), np.array([1.0, 0.0]), gamma, 1.0)
     penalty = cons.CsvePenaltyConfig(2.0, dist(1.0, 0.0), dist(0.5, 0.5))
-    v_hat, _ = cons.csve_fixed_point(single_policy_two(), mdp, penalty, tol=1e-12)
+    v_hat, _ = cons.csve_fixed_point(single_policy_two(), mdp, penalty)
     assert v_hat.values[0] == pytest.approx(-2.0 / (1.0 - gamma), abs=1e-9)
 
 
@@ -177,46 +177,47 @@ def single_policy_two():
 
 
 def test_fixed_point_residual_identity():
+    """The solve is a fixed point of the penalized operator."""
     rng = np.random.default_rng(13)
     mdp = tab.random_mdp(10, 3, 0.9, rng)
     policy = tab.random_policy(10, 3, rng)
     d_u = tab.StateDistribution(rng.dirichlet(np.ones(10)))
     d = tab.random_distribution(10, rng, support=d_u.support)
     penalty = cons.CsvePenaltyConfig(1.7, d, d_u)
-    v_hat, _ = cons.csve_fixed_point(policy, mdp, penalty, tol=1e-10)
+    v_hat, _ = cons.csve_fixed_point(policy, mdp, penalty)
     again = cons.csve_operator(v_hat, policy, mdp, penalty)
     assert np.max(np.abs(again.values - v_hat.values)) <= 1e-8
 
 
 def test_fixed_point_iteration_bound_and_decay():
+    """One solve; the iterated operator decays geometrically to it from
+    V = 0, within 1e-12 of the bound gamma^k * err0 at every step."""
     rng = np.random.default_rng(3)
     mdp = tab.random_mdp(6, 2, 0.85, rng)
     policy = tab.random_policy(6, 2, rng)
     d_u = tab.StateDistribution(rng.dirichlet(np.ones(6)))
     d = tab.random_distribution(6, rng, support=d_u.support)
     penalty = cons.CsvePenaltyConfig(0.9, d, d_u)
-    tol = 1e-10
-    v_hat, iters = cons.csve_fixed_point(policy, mdp, penalty, tol=tol)
+    v_hat, iters = cons.csve_fixed_point(policy, mdp, penalty)
+    assert iters == 1
+    assert_backup_decays_to(v_hat, policy, mdp, penalty)
 
+
+def assert_backup_decays_to(v_hat, policy, mdp, penalty):
     correction = penalty.alpha * penalty.bracket()
-    v0 = np.zeros(6)
-    delta0 = np.max(np.abs(
-        cons.empirical_bellman_backup(v0, policy, mdp) - correction - v0))
-    bound = math.ceil(math.log(tol * (1 - mdp.discount) / delta0)
-                      / math.log(mdp.discount)) + 1
-    assert iters <= bound
-
-    # geometric error decay toward the fixed point
-    v = v0
+    v = np.zeros(mdp.num_states)
     err0 = np.max(np.abs(v - v_hat.values))
-    for k in range(1, 30):
+    for k in range(1, 400):
         v = cons.empirical_bellman_backup(v, policy, mdp) - correction
         err = np.max(np.abs(v - v_hat.values))
-        assert err <= mdp.discount ** k * err0 + tol
+        assert err <= mdp.discount ** k * err0 + 1e-12
+    assert err <= 1e-12
 
 
 def test_fixed_point_matches_backup_iteration_exactly():
-    """Hoisting r_pi and P_pi out of the loop keeps every iterate and the count."""
+    """The penalized backup iteration from V = 0, stopped once two iterates
+    differ by at most 1e-10, lies within the a-posteriori contraction bound
+    gamma/(1-gamma) * 1e-10 of the solve, and decays geometrically to it."""
     for seed in range(5):
         rng = np.random.default_rng(seed)
         mdp = tab.random_mdp(7, 3, 0.9, rng)
@@ -224,23 +225,27 @@ def test_fixed_point_matches_backup_iteration_exactly():
         d_u = tab.StateDistribution(rng.dirichlet(np.ones(7)))
         d = tab.random_distribution(7, rng, support=d_u.support)
         penalty = cons.CsvePenaltyConfig(2.3, d, d_u)
-        v_hat, iters = cons.csve_fixed_point(policy, mdp, penalty, tol=1e-10)
+        v_hat, iters = cons.csve_fixed_point(policy, mdp, penalty)
+        assert iters == 1
 
         correction = penalty.alpha * penalty.bracket()
         v = np.zeros(7)
-        for count in range(1, iters + 1):
+        for _ in range(100_000):
             nxt = cons.empirical_bellman_backup(v, policy, mdp) - correction
             done = np.max(np.abs(nxt - v)) <= 1e-10
             v = nxt
             if done:
                 break
-        assert count == iters and done
-        assert np.array_equal(v, v_hat.values)
+        assert done
+        bound = mdp.discount / (1.0 - mdp.discount) * 1e-10
+        assert np.max(np.abs(v - v_hat.values)) <= bound + 1e-12
+        assert_backup_decays_to(v_hat, policy, mdp, penalty)
 
 
 def test_fixed_point_matches_expression_loop_exactly():
-    """The in-place sweep keeps the float operations of
-    ``r_pi + gamma * (P_pi @ v) - correction``: same values, same count."""
+    """The solve is a fixed point of ``r_pi + gamma * (P_pi @ v) - correction``
+    across sizes 1 to 64 with and without a penalty, and that loop from V = 0,
+    stopped at tolerance tol, lies within gamma/(1-gamma) * tol of it."""
     rng = np.random.default_rng(11)
     for s_dim in (1, 2, 7, 64):
         for alpha in (0.0, 2.3):
@@ -250,20 +255,26 @@ def test_fixed_point_matches_expression_loop_exactly():
                 d_u = tab.StateDistribution(rng.dirichlet(np.ones(s_dim)))
                 d = tab.random_distribution(s_dim, rng, support=d_u.support)
                 penalty = cons.CsvePenaltyConfig(alpha, d, d_u)
-                v_hat, iters = cons.csve_fixed_point(policy, mdp, penalty, tol=tol)
+                v_hat, solves = cons.csve_fixed_point(policy, mdp, penalty)
+                assert solves == 1
 
                 correction = penalty.alpha * penalty.bracket()
                 r_pi = tab.policy_reward_vector(mdp, policy)
                 p_pi = tab.policy_transition_matrix(mdp, policy)
+                scale = 1.0 + np.max(np.abs(r_pi - correction))
+                again = r_pi + mdp.discount * (p_pi @ v_hat.values) - correction
+                assert np.max(np.abs(again - v_hat.values)) <= 1e-10 * scale
+
                 v = np.zeros(s_dim)
-                for count in range(1, 100_001):
+                for _ in range(100_000):
                     nxt = r_pi + mdp.discount * (p_pi @ v) - correction
                     done = np.max(np.abs(nxt - v)) <= tol
                     v = nxt
                     if done:
                         break
-                assert count == iters
-                assert np.array_equal(v, v_hat.values)
+                assert done
+                bound = mdp.discount / (1.0 - mdp.discount) * tol
+                assert np.max(np.abs(v - v_hat.values)) <= bound + 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +306,8 @@ def test_reward_shift_covariance():
     c = 0.25
     shifted = tab.TabularMdp(mdp.transition, mdp.reward + c, mdp.initial_dist,
                              mdp.discount, mdp.r_max + c)
-    v1, _ = cons.csve_fixed_point(policy, mdp, penalty, tol=1e-12)
-    v2, _ = cons.csve_fixed_point(policy, shifted, penalty, tol=1e-12)
+    v1, _ = cons.csve_fixed_point(policy, mdp, penalty)
+    v2, _ = cons.csve_fixed_point(policy, shifted, penalty)
     assert np.allclose(v2.values - v1.values, c / (1 - mdp.discount), atol=1e-9)
 
 
@@ -547,7 +558,7 @@ def test_penalized_objective_equals_expected_fixed_point():
     d_u = tab.StateDistribution(rng.dirichlet(np.ones(5)))
     d = tab.random_distribution(5, rng, support=d_u.support)
     penalty = cons.CsvePenaltyConfig(1.2, d, d_u)
-    v_hat, _ = cons.csve_fixed_point(policy, mdp, penalty, tol=1e-13)
+    v_hat, _ = cons.csve_fixed_point(policy, mdp, penalty)
     j = cons.penalized_objective(policy, mdp, penalty)
     assert j == pytest.approx(float(mdp.initial_dist @ v_hat.values), abs=1e-8)
 
@@ -591,22 +602,22 @@ def test_safe_improvement_zero_error_zero_constants():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Records one entry per linear solve conservative_value_iteration makes."""
+    """Records one entry per linear solve tabular.policy_iteration makes."""
     calls = []
     solve = tab.solve_policy_values
-    monkeypatch.setattr(cons, "solve_policy_values",
+    monkeypatch.setattr(tab, "solve_policy_values",
                         lambda *args: calls.append(None) or solve(*args))
     return calls
 
 
-def assert_matches_value_iteration(empirical, penalty, solves):
+def assert_matches_value_iteration(empirical, penalty, solves, value_iteration):
     """Values within 1e-9 of the value-iteration oracle, the same greedy
     action wherever the oracle's top two Q values differ by more than 1e-9,
     and at most 20 improvement rounds."""
     solves.clear()
     v, greedy = cons.conservative_value_iteration(empirical, penalty)
     assert 1 <= len(solves) <= 20
-    v_ref, q_ref = tab.optimal_value_iteration(empirical, penalty.alpha * penalty.bracket())
+    v_ref, q_ref = value_iteration(empirical, penalty.alpha * penalty.bracket())
     assert np.max(np.abs(v.values - v_ref)) <= 1e-9
     ordered = np.sort(q_ref, axis=1)
     runner_up = ordered[:, -2] if empirical.num_actions > 1 else -np.inf
@@ -616,7 +627,7 @@ def assert_matches_value_iteration(empirical, penalty, solves):
     assert np.array_equal(actions[clear], q_ref.argmax(axis=1)[clear])
 
 
-def test_policy_iteration_matches_value_iteration_on_random_mdps(solves):
+def test_policy_iteration_matches_value_iteration_on_random_mdps(solves, value_iteration):
     rng = np.random.default_rng(15)
     for _ in range(150):
         num_states, num_actions = int(rng.integers(2, 13)), int(rng.integers(1, 6))
@@ -624,11 +635,11 @@ def test_policy_iteration_matches_value_iteration_on_random_mdps(solves):
         d_u = tab.StateDistribution(rng.dirichlet(np.ones(num_states)))
         d = tab.random_distribution(num_states, rng, support=d_u.support)
         penalty = cons.CsvePenaltyConfig(float(rng.uniform(0.0, 50.0)), d, d_u)
-        assert_matches_value_iteration(mdp, penalty, solves)
+        assert_matches_value_iteration(mdp, penalty, solves, value_iteration)
 
 
-def test_policy_iteration_matches_value_iteration_on_safe_improvement_mdps(monkeypatch,
-                                                                           solves):
+def test_policy_iteration_matches_value_iteration_on_safe_improvement_mdps(
+        monkeypatch, solves, value_iteration):
     inputs = []
     solve = cons.conservative_value_iteration
     monkeypatch.setattr(cons, "conservative_value_iteration",
@@ -638,7 +649,7 @@ def test_policy_iteration_matches_value_iteration_on_safe_improvement_mdps(monke
     monkeypatch.setattr(cons, "conservative_value_iteration", solve)
     assert len(inputs) == 50
     for empirical, penalty in inputs:
-        assert_matches_value_iteration(empirical, penalty, solves)
+        assert_matches_value_iteration(empirical, penalty, solves, value_iteration)
 
 
 def tie_mdp(reward_00=0.0, reward_02=0.5):
@@ -663,9 +674,9 @@ def test_policy_iteration_breaks_ties_toward_the_lowest_action(reward_02):
 
 def test_policy_iteration_raises_at_its_round_cap(monkeypatch):
     mdp, penalty = tie_mdp(reward_00=0.4)  # staying (0.4 / 0.1 = 4) beats the reward argmax
-    monkeypatch.setattr(cons, "POLICY_ITERATION_ROUNDS", 2)
+    monkeypatch.setattr(tab, "POLICY_ITERATION_ROUNDS", 2)
     assert cons.conservative_value_iteration(mdp, penalty)[1].probs.argmax(axis=1)[0] == 0
-    monkeypatch.setattr(cons, "POLICY_ITERATION_ROUNDS", 1)
+    monkeypatch.setattr(tab, "POLICY_ITERATION_ROUNDS", 1)
     with pytest.raises(ConvergenceError):
         cons.conservative_value_iteration(mdp, penalty)
 

@@ -337,10 +337,21 @@ def test_gridworld_expert_close_to_optimal_value():
     mdp = env.tabular_mdp(discount=0.99)
     expert = env.epsilon_greedy_table(mdp, envs.GRIDWORLD_TIER_EPSILON["expert"])
     v_expert = tab.exact_policy_evaluation(mdp, expert).values
-    v_optimal, _ = tab.optimal_value_iteration(mdp)
+    v_optimal, _ = tab.policy_iteration(mdp)
     got = float(mdp.initial_dist @ v_expert)
-    best = float(mdp.initial_dist @ v_optimal)
+    best = float(mdp.initial_dist @ v_optimal.values)
     assert got >= 0.95 * best
+
+
+@pytest.mark.parametrize("slip, discount", [(0.1, 0.99), (0.05, 0.95)])
+def test_gridworld_diagonal_ties_go_to_right(slip, discount):
+    """On the diagonal, right and down are mirror-image exact ties; the
+    greedy action is the lower-index one, right (0), in every such cell."""
+    env = envs.GridWorld(slip=slip)
+    mdp = env.tabular_mdp(discount=discount)
+    greedy = env.epsilon_greedy_table(mdp, 0.3).probs.argmax(axis=1)
+    diagonal = [i * env.SIZE + i for i in range(env.SIZE) if i * env.SIZE + i != env.goal_index]
+    assert greedy[diagonal].tolist() == [0] * len(diagonal)
 
 
 def test_tier_return_ordering_with_separated_intervals():

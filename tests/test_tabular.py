@@ -5,7 +5,7 @@ import pytest
 from csve import tabular as tab
 from csve import theory
 from csve.envs import GridWorld
-from csve.errors import InputError
+from csve.errors import InputError, NumericError
 
 
 def chain_mdp(gamma=0.5):
@@ -116,8 +116,30 @@ def test_bellman_consistency_on_random_mdps():
         assert np.max(np.abs(v - backup)) <= 1e-9
 
 
+@pytest.mark.parametrize("r_max", [1e5, 1e6])
+def test_evaluation_of_large_rewards_passes_the_relative_residual_check(r_max):
+    """At gamma 0.99 values reach ~1e8; the residual bound scales with |r_pi|."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        mdp = tab.random_mdp(20, 3, 0.99, rng, r_max=r_max)
+        policy = tab.random_policy(20, 3, rng)
+        v = tab.exact_policy_evaluation(mdp, policy).values
+        backup = np.sum(
+            policy.probs * (mdp.reward + mdp.discount * (mdp.transition @ v)), axis=1)
+        assert np.max(np.abs(v - backup)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_a_solve_off_its_system_raises_numeric_error(monkeypatch):
+    mdp = tab.random_mdp(5, 2, 0.9, np.random.default_rng(4))
+    policy = tab.random_policy(5, 2, np.random.default_rng(5))
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(NumericError, match="linear solve residual"):
+        tab.exact_policy_evaluation(mdp, policy)
+
+
 # ---------------------------------------------------------------------------
-# optimal_value_iteration and the gridworld chain
+# policy_iteration against the value-iteration oracle, and the gridworld chain
 # ---------------------------------------------------------------------------
 
 def reference_value_iteration(mdp, correction=0.0):
@@ -164,34 +186,49 @@ def test_gridworld_mdp_matches_cell_loop(slip, goal):
     assert got.discount == want.discount and got.r_max == want.r_max
 
 
+def assert_policy_iteration_matches(mdp, correction, v_ref, q_ref):
+    """policy_iteration's values within 1e-9 of the oracle's, and its greedy
+    action the oracle's wherever the oracle's top two Q differ by more than 1e-9."""
+    v, greedy = tab.policy_iteration(mdp, correction)
+    assert np.max(np.abs(v.values - v_ref)) <= 1e-9
+    ordered = np.sort(q_ref, axis=1)
+    clear = ordered[:, -1] - (ordered[:, -2] if mdp.num_actions > 1 else -np.inf) > 1e-9
+    actions = greedy.probs.argmax(axis=1)
+    assert np.array_equal(actions[clear], q_ref.argmax(axis=1)[clear])
+
+
 @pytest.mark.parametrize("slip, goal", GRID_CASES)
-def test_value_iteration_matches_tensor_sweep_on_gridworld(slip, goal):
-    """The 2-D view's products equal the tensor's bit for bit when A is 4."""
+def test_value_iteration_matches_tensor_sweep_on_gridworld(slip, goal, value_iteration):
+    """The oracle's 2-D view products equal the tensor's bit for bit when A
+    is 4, and policy iteration reaches the oracle's values and actions."""
     mdp = GridWorld(slip=slip, goal=goal).tabular_mdp(discount=0.95)
     correction = np.random.default_rng(3).uniform(-0.01, 0.05, size=mdp.num_states)
     for corr in (0.0, correction):
-        v, q = tab.optimal_value_iteration(mdp, corr)
+        v, q = value_iteration(mdp, corr)
         v_ref, q_ref = reference_value_iteration(mdp, corr)
         assert np.array_equal(v, v_ref) and np.array_equal(q, q_ref)
         assert q.shape == (mdp.num_states, mdp.num_actions)
+        assert_policy_iteration_matches(mdp, corr, v, q)
 
 
 @pytest.mark.parametrize("num_actions", [1, 3, 5])
-def test_value_iteration_matches_tensor_sweep_on_random_mdps(num_actions):
+def test_value_iteration_matches_tensor_sweep_on_random_mdps(num_actions, value_iteration):
     """Off a multiple of 4 actions the 2-D product may round differently:
-    values agree within 1e-12 and the greedy action wherever it is clear."""
+    values agree within 1e-12 and the greedy action wherever it is clear.
+    Policy iteration reaches the oracle's values and actions."""
     rng = np.random.default_rng(num_actions)
     for _ in range(30):
         s_dim = int(rng.integers(1, 20))
         mdp = tab.random_mdp(s_dim, num_actions, float(rng.uniform(0.5, 0.95)), rng)
         correction = rng.uniform(-0.05, 0.05, size=s_dim)
         for corr in (0.0, correction):
-            v, q = tab.optimal_value_iteration(mdp, corr)
+            v, q = value_iteration(mdp, corr)
             v_ref, q_ref = reference_value_iteration(mdp, corr)
             assert np.max(np.abs(v - v_ref)) <= 1e-12
             ordered = np.sort(q_ref, axis=1)
             clear = np.all(np.diff(ordered, axis=1) > 1e-9, axis=1)
             assert np.array_equal(q.argmax(axis=1)[clear], q_ref.argmax(axis=1)[clear])
+            assert_policy_iteration_matches(mdp, corr, v, q)
 
 
 # ---------------------------------------------------------------------------

@@ -56,3 +56,12 @@ def test_hash_diff_lists_changed_and_one_sided_paths():
     assert compare.hash_diff(base, head) == ["only/base.bin", "only/head.bin",
                                              "theory/theory.csv"]
     assert compare.hash_diff(base, base) == []
+
+
+def test_rejected_runs_name_each_side_and_seed_the_checks_refused():
+    compare = load_tool("compare")
+    pairs = [{"seed": 0, "base": {"correct": True}, "head": {"correct": True}},
+             {"seed": 1, "base": {"correct": True}, "head": {"correct": False}},
+             {"seed": 2, "base": {"correct": False}, "head": {"correct": False}}]
+    assert compare.rejected_runs(pairs[:1]) == []
+    assert compare.rejected_runs(pairs) == ["head seed 1", "base seed 2", "head seed 2"]

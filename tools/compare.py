@@ -19,7 +19,8 @@ medians differ by more than the base's interquartile range.  With
 checkouts for each listed seed and records the paths whose md5 differ.
 The JSON written to ``--out`` holds both shas, a digest of each side's
 ``src/``, nproc, the numpy version, the BLAS thread setting, every pair,
-the summary and the hash diffs.  Exits 1 if a run fails to produce a result.
+the summary and the hash diffs.  Exits 1, writing nothing, if a run fails
+to produce a result or its checks reject its output (``correct`` false).
 """
 
 from __future__ import annotations
@@ -87,6 +88,13 @@ def hash_diff(base_lines, head_lines) -> list[str]:
     base, head = ({path: md5 for md5, path in (line.split(None, 1) for line in lines)}
                   for lines in (base_lines, head_lines))
     return sorted(path for path in base.keys() | head.keys() if base.get(path) != head.get(path))
+
+
+def rejected_runs(pairs) -> list[str]:
+    """``side seed N`` for each run whose output the benchmark's own checks
+    rejected (``correct`` false), in pair order."""
+    return [f"{side} seed {pair['seed']}" for pair in pairs for side in ("base", "head")
+            if not pair[side]["correct"]]
 
 
 def bootstrap_interval(ratios, draws: int = 2000) -> tuple[float, float]:
@@ -168,6 +176,9 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} seed {i} ({order[0]} first): "
                       + ", ".join(f"{s} wall_s {pair[s]['metrics']['wall_s']:.3f}"
                                   for s in ("base", "head")), flush=True)
+            rejected = rejected_runs(pairs)
+            if rejected:
+                raise RuntimeError(f"the benchmark's checks rejected {', '.join(rejected)}")
             for seed in hash_seeds:
                 lines = {side: output_hashes(root, seed) for side, root in sides.items()}
                 hashes[str(seed)] = {"files": len(lines["head"]),

@@ -156,6 +156,10 @@ def _check_finite(value: float, name: str) -> float:
     return float(value)
 
 
+def _columns(*blocks):  # np.hstack's bits without its dispatch, as add.reduce / n is np.mean's
+    return np.concatenate(blocks, axis=1)
+
+
 def _policy_rows(bundle, states, dist, k, rng):
     """The n*k (state, action) rows, state-major, of k squashed actions
     drawn per state from the policy head ``dist``; no gradients are kept."""
@@ -163,7 +167,7 @@ def _policy_rows(bundle, states, dist, k, rng):
     n, adim = mean.shape
     u = mean[..., None, :] + np.exp(log_std)[..., None, :] * rng.standard_normal((n, k, adim))
     actions = bundle.action_scale * np.tanh(u)
-    return np.hstack([np.repeat(states, k, axis=0), actions.reshape(n * k, adim)])
+    return _columns(np.repeat(states, k, axis=0), actions.reshape(n * k, adim))
 
 
 def _reparam_actions(bundle, dist, rng):
@@ -177,7 +181,7 @@ def _reparam_actions(bundle, dist, rng):
 
 def _mean_q(net, rows, k):
     """Per-state mean of ``net`` over the k rows :func:`_policy_rows` gave each state."""
-    return net.forward(rows)[:, 0].reshape(-1, k).mean(axis=1)
+    return np.add.reduce(net.forward(rows)[:, 0].reshape(-1, k), axis=1) / k
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +210,16 @@ def _penalized_regression(net, x, targets, x_ood, alpha, weight):
     pred = out[:, 0]
     n = len(pred)
     diff = pred - targets
-    loss = weight * float(np.mean(diff * diff))
+    loss = weight * float(np.add.reduce(diff * diff) / n)
     d_pred = 2.0 * weight * diff / n
     if x_ood is None:
         grads, _ = net.backward(cache, d_pred[:, None])
         return loss, grads, None
     out_ood, ood_cache = net.forward_cache(x_ood)
-    gap = float(np.mean(out_ood[:, 0]) - np.mean(pred))
+    m = len(x_ood)
+    gap = float(np.add.reduce(out_ood[:, 0]) / m - np.add.reduce(pred) / n)
     grads, _ = net.backward(cache, (d_pred - alpha / n)[:, None])
     if alpha != 0.0:  # at alpha 0 the OOD rows' gradients are all zero
-        m = len(x_ood)
         ood_grads, _ = net.backward(ood_cache, np.full((m, 1), alpha / m))
         grads.flat += ood_grads.flat
     return loss + alpha * gap, grads, gap
@@ -261,7 +265,7 @@ def q_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams):
     v_next = bundle.v_net.forward(batch.next_states)[:, 0]
     target = batch.rewards + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * v_next
     loss, grads, _ = _penalized_regression(
-        bundle.q_net, np.hstack([batch.states, batch.actions]), target, None, 0.0, 1.0)
+        bundle.q_net, _columns(batch.states, batch.actions), target, None, 0.0, 1.0)
     return _check_finite(loss, "q loss"), grads
 
 
@@ -290,7 +294,7 @@ class PolicyLossResult(NamedTuple):
 
 def _critic_advantage(bundle, batch):
     """Q(s, a) - V(s) on the batch, a constant for the actor."""
-    q = bundle.q_net.forward(np.hstack([batch.states, batch.actions]))[:, 0]
+    q = bundle.q_net.forward(_columns(batch.states, batch.actions))[:, 0]
     return q - bundle.v_net.forward(batch.states)[:, 0]
 
 
@@ -302,11 +306,10 @@ def _awr_cotangent(bundle, batch, hp, dist, advantage):
     weights = np.exp(np.minimum(hp.beta_awr * advantage, np.log(hp.weight_clip)))
     log_prob, u = nn.squashed_gaussian_log_prob(mean, log_std, batch.actions,
                                                 bundle.action_scale)
-    loss = float(-np.mean(weights * log_prob))
+    loss = -float(np.add.reduce(weights * log_prob) / n)
     d_mean, d_log_std = nn.gaussian_log_prob_grads(mean, log_std, u)
     coeff = (-weights / n)[:, None]
-    return loss, np.hstack([coeff * d_mean,
-                            coeff * d_log_std * nn.clamp_log_std_mask(raw)])
+    return loss, _columns(coeff * d_mean, coeff * d_log_std * nn.clamp_log_std_mask(raw))
 
 
 def _reparam_cotangent(bundle, dist, tanh_u, eps, d_actions):
@@ -314,7 +317,7 @@ def _reparam_cotangent(bundle, dist, tanh_u, eps, d_actions):
     :func:`_reparam_actions` drew as scale * tanh(u), u = mean + std * eps."""
     _, log_std, raw, _ = dist
     d_u = d_actions * bundle.action_scale * (1.0 - tanh_u ** 2)
-    return np.hstack([d_u, d_u * np.exp(log_std) * eps * nn.clamp_log_std_mask(raw)])
+    return _columns(d_u, d_u * np.exp(log_std) * eps * nn.clamp_log_std_mask(raw))
 
 
 def awr_policy_loss(bundle: AgentBundle, batch: Batch,
@@ -349,7 +352,7 @@ def explore_policy_loss(bundle: AgentBundle, batch: Batch,
     actions, tanh_u, eps = _reparam_actions(bundle, dist, rng)
     next_states, rewards, pullback = model.mean_prediction_with_action_grad(states, actions)
     v_out, v_cache = bundle.v_net.forward_cache(next_states)
-    bonus = float(np.mean(rewards + hp.gamma * v_out[:, 0]))
+    bonus = float(np.add.reduce(rewards + hp.gamma * v_out[:, 0]) / n)
     loss = awr_loss - hp.lambda_explore * bonus
 
     scale = hp.lambda_explore / n
@@ -382,7 +385,7 @@ def cql_critic_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
     q_next = _mean_q(bundle.q_target, next_rows, k)
     target = batch.rewards + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * q_next
     loss, grads, _ = _penalized_regression(
-        bundle.q_net, np.hstack([batch.states, batch.actions]), target, pi_rows,
+        bundle.q_net, _columns(batch.states, batch.actions), target, pi_rows,
         bundle.alpha, 0.5)
     return _check_finite(loss, "cql critic loss"), grads
 
@@ -397,14 +400,14 @@ def cql_actor_loss(bundle: AgentBundle, batch: Batch, hp: CsveHyperParams,
     dist = dist or policy_distribution(bundle, states)
 
     q_baseline = _mean_q(bundle.q_net, _policy_rows(bundle, states, dist, k, rng), k)
-    q_data = bundle.q_net.forward(np.hstack([states, batch.actions]))[:, 0]
+    q_data = bundle.q_net.forward(_columns(states, batch.actions))[:, 0]
     awr, cot = _awr_cotangent(bundle, batch, hp, dist, q_data - q_baseline)
 
     loss = awr
     if hp.lambda_explore > 0.0:
         actions, tanh_u, eps = _reparam_actions(bundle, dist, rng)
-        q_out, q_cache = bundle.q_net.forward_cache(np.hstack([states, actions]))
-        bonus = float(np.mean(q_out[:, 0]))
+        q_out, q_cache = bundle.q_net.forward_cache(_columns(states, actions))
+        bonus = float(np.add.reduce(q_out[:, 0]) / n)
         loss = awr - hp.lambda_explore * bonus
         d_sa = bundle.q_net.input_grad(q_cache, np.full((n, 1), -hp.lambda_explore / n))
         cot = cot + _reparam_cotangent(bundle, dist, tanh_u, eps, d_sa[:, states.shape[1]:])

@@ -78,7 +78,8 @@ def _load_config_section(path: str | None, section: str) -> dict:
                           f"{' '.join(str(err).split())}") from None
 
 
-def _coerce(raw: str, kind):
+def _coerce(raw: str, kind, item=int):
+    """``raw`` as a ``kind``; a tuple holds comma-separated ``item``s, none empty."""
     if kind is bool:
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -88,7 +89,10 @@ def _coerce(raw: str, kind):
         raise ConfigError(f"expected a boolean, got {raw!r}")
     try:
         if kind is tuple:
-            return tuple(int(x) for x in raw.split(",") if x)
+            items = raw.split(",")
+            if not all(x.strip() for x in items):
+                raise ConfigError(f"expected comma-separated values, none empty, got {raw!r}")
+            return tuple(_coerce(x, item) for x in items)
         return kind(raw)
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -351,9 +355,7 @@ def cmd_sweep(args) -> int:
     n_seeds = _at_least_one(resolve(args, "seeds", int, 3), "seeds")
     workers = _at_least_one(resolve(args, "workers", int, 1), "workers")
     hp = _hyper_params(args)
-    values = [_coerce(v, kind) for v in values_raw.split(",") if v]
-    if not values:
-        raise ConfigError("sweep grid is empty")
+    values = resolve(args, "values", lambda raw: _coerce(raw, tuple, kind), None)
     names = [f"{param}={value:g}" for value in values]
     for name in names:
         if names.count(name) > 1:

@@ -39,10 +39,12 @@ class EnsembleConfig:
             raise InputError("need at least one ensemble member")
         if not (0.0 < self.holdout_fraction < 1.0):
             raise InputError("holdout fraction must lie in (0, 1)")
-        if self.patience < 1 or self.max_epochs < 1:
-            raise InputError("patience and max_epochs must be positive")
+        if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
+            raise InputError("patience, max_epochs and batch_size must be positive")
         if not all(width >= 1 for width in self.hidden_sizes):
             raise InputError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        if not self.learning_rate > 0:
+            raise InputError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass
@@ -90,7 +92,7 @@ class EnsembleDynamicsModel:
                              f"{dataset.state_dim} and {dataset.action_dim}")
 
     def _inputs(self, states, actions):
-        x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
+        x = np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
         return (x - self.in_mean) / self.in_std
 
     def sample_next_batch(self, states, actions, rng: np.random.Generator):
@@ -142,10 +144,11 @@ class EnsembleDynamicsModel:
 
         def pullback(cot_next, cot_reward):
             # cotangent on the normalized mean outputs, shared by all members
-            cot_mean = np.hstack([cot_next, cot_reward[:, None]]) * self.out_std / self.num_members
+            cot_mean = (np.concatenate([cot_next, cot_reward[:, None]], axis=1)
+                        * self.out_std / self.num_members)
             grad_x = np.zeros_like(x)
             for member_grad in self.net.input_grad(
-                    cache, np.hstack([cot_mean, np.zeros_like(cot_mean)])):
+                    cache, np.concatenate([cot_mean, np.zeros_like(cot_mean)], axis=1)):
                 grad_x += member_grad
             return grad_x[:, self.state_dim:] / self.in_std[self.state_dim:]
 
@@ -154,7 +157,8 @@ class EnsembleDynamicsModel:
 
 def _nll(mean, log_std, targets):
     z = (targets - mean) / np.exp(log_std)
-    return float(np.mean(np.sum(0.5 * z * z + log_std + 0.5 * nn.LOG_TWO_PI, axis=1)))
+    return float(np.add.reduce(np.add.reduce(0.5 * z * z + log_std + 0.5 * nn.LOG_TWO_PI,
+                                             axis=1)) / len(z))
 
 
 def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
@@ -164,14 +168,16 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
     Each member trains on its own bootstrap resample of the shared training
     split and early-stops when its holdout NLL has not improved for
     ``config.patience`` evaluations; the best-holdout parameters are kept.
+    Each epoch gathers its shuffled rows once, and its minibatches are
+    slices of that gather: the rows and bits of a gather per minibatch.
     """
     if dataset.size == 0:
         raise InputError("cannot train a dynamics model on an empty dataset")
-    # raw inputs and targets, normalized in place below: the only copy of the
-    # data; every minibatch is gathered from it through the bootstrap indices
+    # raw inputs and targets, normalized in place below: contiguous copies, so
+    # ``take`` gathers rows from them cheaply (on the dataset's strided column
+    # views it would copy the whole record block per call)
     x_all = np.hstack([dataset.states, dataset.actions])
-    y_all = np.hstack([dataset.next_states - dataset.states,
-                       dataset.rewards[:, None]])
+    y_all = np.hstack([dataset.next_states - dataset.states, dataset.rewards[:, None]])
     n = dataset.size
     n_holdout = max(1, int(round(config.holdout_fraction * n)))
     if n_holdout >= n:
@@ -205,10 +211,11 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
         member_train, member_hold = [], []
         for epoch in range(config.max_epochs):
             order = boot[rng.permutation(boot.size)]
+            x_epoch, y_epoch = x_all.take(order, axis=0), y_all.take(order, axis=0)
             epoch_losses = []
             for start in range(0, boot.size, config.batch_size):
-                sel = order[start:start + config.batch_size]
-                xb, yb = x_all[sel], y_all[sel]
+                stop = start + config.batch_size
+                xb, yb = x_epoch[start:stop], y_epoch[start:stop]
                 out, cache = member.forward_cache(xb)
                 mean, raw = out[:, :target_dim], out[:, target_dim:]
                 log_std = nn.clamp_log_std(raw)
@@ -222,7 +229,7 @@ def train_ensemble(dataset: ContinuousTransitionDataset, config: EnsembleConfig,
                 d_mean = diff * inv_var * scale
                 d_log = (1.0 - diff * diff * inv_var) * scale
                 d_log = np.where(nn.clamp_log_std_mask(raw), d_log, 0.0)
-                grads, _ = member.backward(cache, np.hstack([d_mean, d_log]))
+                grads, _ = member.backward(cache, np.concatenate([d_mean, d_log], axis=1))
                 nn.adam_step(opt, member.flat, grads.flat)
                 epoch_losses.append(loss)
                 global_step += 1

@@ -248,7 +248,8 @@ class Mlp:
                 dz *= (act > 0.0) if relu else 1.0 - act ** 2
             if with_params:
                 np.matmul(inputs[i].mT, dz, out=grads[2 * i])
-                dz.sum(axis=-2, keepdims=self.members is not None, out=grads[2 * i + 1])
+                np.add.reduce(dz, axis=-2, keepdims=self.members is not None,
+                              out=grads[2 * i + 1])
             dz = dz @ params[2 * i].mT
         input_grad = dz[..., 0, :] if squeeze else dz
         return grads, input_grad
@@ -313,7 +314,8 @@ def polyak_update(target: np.ndarray, source: np.ndarray, omega: float) -> None:
 # ---------------------------------------------------------------------------
 
 def clamp_log_std(raw: np.ndarray) -> np.ndarray:
-    return np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
+    """``np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)``, bit for bit (NaN stays NaN)."""
+    return np.minimum(np.maximum(raw, LOG_STD_MIN), LOG_STD_MAX)
 
 
 def clamp_log_std_mask(raw: np.ndarray) -> np.ndarray:
@@ -325,7 +327,7 @@ def gaussian_log_prob(mean, log_std, x) -> np.ndarray:
     """Exact diagonal-Gaussian log density, summed over the last axis;
     ``log_std`` is taken as it is, already clamped (:func:`clamp_log_std`)."""
     z = (np.asarray(x, dtype=np.float64) - mean) / np.exp(log_std)
-    return -0.5 * np.sum(z * z + 2.0 * log_std + LOG_TWO_PI, axis=-1)
+    return -0.5 * np.add.reduce(z * z + 2.0 * log_std + LOG_TWO_PI, axis=-1)
 
 
 def gaussian_log_prob_grads(mean, log_std, x):
@@ -344,8 +346,9 @@ def squashed_gaussian_log_prob(mean, log_std, actions, scale):
     """(log pi(a|s), u) for a = scale * tanh(u): Gaussian density of the
     presquash point u minus the log-Jacobian of the squash, summed over
     action dims, and u itself."""
-    a = np.clip(np.asarray(actions, dtype=np.float64) / scale, -_ATANH_CLIP, _ATANH_CLIP)
-    jacobian = np.sum(np.log(scale * (1.0 - a * a)), axis=-1)
+    a = np.minimum(np.maximum(np.asarray(actions, dtype=np.float64) / scale, -_ATANH_CLIP),
+                   _ATANH_CLIP)
+    jacobian = np.add.reduce(np.log(scale * (1.0 - a * a)), axis=-1)
     u = np.arctanh(a)
     return gaussian_log_prob(mean, log_std, u) - jacobian, u
 

@@ -30,3 +30,79 @@ def optimal_value_iteration(mdp, correction=0.0):
 def value_iteration():
     """The value-iteration oracle that policy iteration is checked against."""
     return optimal_value_iteration
+
+
+def minibatch_gather_fit(dataset, config, rng):
+    """The ensemble fit with one fancy-index gather of inputs and targets per
+    minibatch, and np.mean, np.sum, np.hstack and np.clip where the fit now
+    calls ufuncs directly.  Returns each member's kept ``flat`` and the NLL
+    history, for ``dynamics.train_ensemble`` to match bit for bit."""
+    from csve import nn
+
+    def clamp(raw):
+        return np.clip(raw, nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+
+    def nll(mean, log_std, targets):
+        z = (targets - mean) / np.exp(log_std)
+        return float(np.mean(np.sum(0.5 * z * z + log_std + 0.5 * nn.LOG_TWO_PI, axis=1)))
+
+    x_all = np.hstack([dataset.states, dataset.actions])
+    y_all = np.hstack([dataset.next_states - dataset.states, dataset.rewards[:, None]])
+    n = dataset.size
+    n_holdout = max(1, int(round(config.holdout_fraction * n)))
+    perm = rng.permutation(n)
+    train_idx, holdout_idx = perm[n_holdout:], perm[:n_holdout]
+    in_mean = x_all[train_idx].mean(axis=0)
+    in_std = np.maximum(x_all[train_idx].std(axis=0), 1e-6)
+    out_mean = y_all[train_idx].mean(axis=0)
+    out_std = np.maximum(y_all[train_idx].std(axis=0), 1e-6)
+    x_all = (x_all - in_mean) / in_std
+    y_all = (y_all - out_mean) / out_std
+    dim = dataset.state_dim + 1
+    sizes = [x_all.shape[1], *config.hidden_sizes, 2 * dim]
+    x_hold, y_hold = x_all[holdout_idx], y_all[holdout_idx]
+    flats, history = [], {"train_nll": [], "holdout_nll": []}
+    for _ in range(config.num_members):
+        boot = rng.choice(train_idx, size=train_idx.size, replace=True)
+        member = nn.Mlp.init(sizes, rng)
+        opt = nn.adam_init(member.flat, config.learning_rate)
+        best_flat, best_nll, stale = member.flat.copy(), np.inf, 0
+        member_train, member_hold = [], []
+        for _ in range(config.max_epochs):
+            order = boot[rng.permutation(boot.size)]
+            losses = []
+            for start in range(0, boot.size, config.batch_size):
+                sel = order[start:start + config.batch_size]
+                xb, yb = x_all[sel], y_all[sel]
+                out, cache = member.forward_cache(xb)
+                mean, raw = out[:, :dim], out[:, dim:]
+                log_std = clamp(raw)
+                inv_var = np.exp(-2.0 * log_std)
+                diff = mean - yb
+                losses.append(nll(mean, log_std, yb))
+                scale = 1.0 / xb.shape[0]
+                d_mean = diff * inv_var * scale
+                d_log = (1.0 - diff * diff * inv_var) * scale
+                d_log = np.where((raw > nn.LOG_STD_MIN) & (raw < nn.LOG_STD_MAX), d_log, 0.0)
+                grads, _ = member.backward(cache, np.hstack([d_mean, d_log]))
+                nn.adam_step(opt, member.flat, grads.flat)
+            out_h = member.forward(x_hold)
+            hold_nll = nll(out_h[:, :dim], clamp(out_h[:, dim:]), y_hold)
+            member_train.append(float(np.mean(losses)))
+            member_hold.append(hold_nll)
+            if hold_nll < best_nll - 1e-6:
+                best_nll, best_flat, stale = hold_nll, member.flat.copy(), 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+        flats.append(best_flat)
+        history["train_nll"].append(member_train)
+        history["holdout_nll"].append(member_hold)
+    return flats, history
+
+
+@pytest.fixture
+def gather_fit():
+    """The per-minibatch-gather ensemble fit that ``train_ensemble`` is checked against."""
+    return minibatch_gather_fit

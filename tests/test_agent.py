@@ -851,14 +851,14 @@ def test_critic_losses_match_their_first_form_exactly(pointmass_setup):
             want = reference_v_loss(bundle, batch, model, hp, want_rng, penalty_active,
                                     noise_variant)
             assert (got.loss, got.gap) == want[:1] + want[2:]
-            assert all(np.array_equal(g, w) for g, w in zip(got.grads, want[1]))
+            assert [g.tobytes() for g in got.grads] == [w.tobytes() for w in want[1]]
             assert got_rng.random() == want_rng.random()
 
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         loss, grads = agent.cql_critic_loss(bundle, batch, hp, got_rng)
         want_loss, want_grads = reference_cql_critic_loss(bundle, batch, hp, want_rng)
         assert loss == want_loss
-        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+        assert [g.tobytes() for g in grads] == [w.tobytes() for w in want_grads]
         assert got_rng.random() == want_rng.random()
 
         loss, grads = agent.q_loss(bundle, batch, hp)
@@ -868,7 +868,102 @@ def test_critic_losses_match_their_first_form_exactly(pointmass_setup):
         diff = target - q_out[:, 0]
         assert loss == float(np.mean(diff * diff))
         want_grads, _ = bundle.q_net.backward(cache, (-2.0 * diff / len(diff))[:, None])
-        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+        assert [g.tobytes() for g in grads] == [w.tobytes() for w in want_grads]
+
+
+def reference_awr(bundle, batch, hp, dist, advantage):
+    """The AWR loss and cotangent with np.clip, np.sum, np.mean and np.hstack."""
+    mean, log_std, raw, _ = dist
+    n = len(batch.states)
+    weights = np.exp(np.minimum(hp.beta_awr * advantage, np.log(hp.weight_clip)))
+    a = np.clip(batch.actions / bundle.action_scale, -(1.0 - 1e-9), 1.0 - 1e-9)
+    u = np.arctanh(a)
+    z = (u - mean) / np.exp(log_std)
+    log_prob = (-0.5 * np.sum(z * z + 2.0 * log_std + nn.LOG_TWO_PI, axis=-1)
+                - np.sum(np.log(bundle.action_scale * (1.0 - a * a)), axis=-1))
+    d_mean, d_log_std = nn.gaussian_log_prob_grads(mean, log_std, u)
+    coeff = (-weights / n)[:, None]
+    mask = (raw > nn.LOG_STD_MIN) & (raw < nn.LOG_STD_MAX)
+    return float(-np.mean(weights * log_prob)), np.hstack([coeff * d_mean,
+                                                           coeff * d_log_std * mask])
+
+
+def reference_policy_loss(bundle, batch, model, hp, rng, algorithm):
+    """explore_policy_loss (csve) or cql_actor_loss (cql_awr) with np.clip,
+    np.sum, np.mean and np.hstack: (loss, awr loss, gradients)."""
+    states = batch.states
+    n, k = len(states), hp.n_action_samples
+    out, cache = bundle.policy_net.forward_cache(states)
+    adim = out.shape[1] // 2
+    mean, raw = out[:, :adim], out[:, adim:]
+    log_std = np.clip(raw, nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+    dist = (mean, log_std, raw, cache)
+    q_data = bundle.q_net.forward(np.hstack([states, batch.actions]))[:, 0]
+    if algorithm == "cql_awr":
+        u = mean[:, None, :] + np.exp(log_std)[:, None, :] * rng.standard_normal((n, k, adim))
+        rows = np.hstack([np.repeat(states, k, axis=0),
+                          (bundle.action_scale * np.tanh(u)).reshape(n * k, adim)])
+        baseline = bundle.q_net.forward(rows)[:, 0].reshape(n, k).mean(axis=1)
+        awr, cot = reference_awr(bundle, batch, hp, dist, q_data - baseline)
+    else:
+        advantage = q_data - bundle.v_net.forward(states)[:, 0]
+        awr, cot = reference_awr(bundle, batch, hp, dist, advantage)
+    eps = rng.standard_normal((n, adim))
+    tanh_u = np.tanh(mean + np.exp(log_std) * eps)
+    actions = bundle.action_scale * tanh_u
+    if algorithm == "cql_awr":
+        q_out, q_cache = bundle.q_net.forward_cache(np.hstack([states, actions]))
+        bonus = float(np.mean(q_out[:, 0]))
+        d_sa = bundle.q_net.input_grad(q_cache, np.full((n, 1), -hp.lambda_explore / n))
+        d_actions = d_sa[:, states.shape[1]:]
+    else:
+        next_states, rewards, pullback = model.mean_prediction_with_action_grad(states, actions)
+        v_out, v_cache = bundle.v_net.forward_cache(next_states)
+        bonus = float(np.mean(rewards + hp.gamma * v_out[:, 0]))
+        scale = hp.lambda_explore / n
+        d_next = bundle.v_net.input_grad(v_cache, np.full((n, 1), -scale * hp.gamma))
+        d_actions = pullback(d_next, np.full(n, -scale))
+    d_u = d_actions * bundle.action_scale * (1.0 - tanh_u ** 2)
+    mask = (raw > nn.LOG_STD_MIN) & (raw < nn.LOG_STD_MAX)
+    cot = cot + np.hstack([d_u, d_u * np.exp(log_std) * eps * mask])
+    grads, _ = bundle.policy_net.backward(cache, cot)
+    return awr - hp.lambda_explore * bonus, awr, grads
+
+
+@pytest.mark.parametrize("algorithm", ["csve", "cql_awr"])
+def test_actor_losses_match_their_np_mean_and_np_hstack_form_by_bytes(pointmass_setup,
+                                                                      algorithm):
+    """The actor losses call np.add.reduce, np.concatenate and np.maximum /
+    np.minimum where they called np.mean, np.sum, np.hstack and np.clip;
+    the losses and gradients keep every byte, with some log-stds beyond
+    each clamp bound."""
+    _, ds, model = pointmass_setup
+    hp = tiny_hp(n_action_samples=3, hidden_sizes=(16, 16), lambda_explore=0.7,
+                 beta_awr=2.0, weight_clip=3.0)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        bundle = agent.init_bundle(ds.state_dim, ds.action_dim, [1.0, 1.0], hp, rng)
+        batch = agent._sample_batch(ds, 9, rng)
+        # spread the log-std columns around LOG_STD_MIN and LOG_STD_MAX: about
+        # half the rows of each column fall beyond its bound
+        last_w, last_b = bundle.policy_net.params[-2:]
+        last_w[:, 2:] = rng.normal(0.0, 20.0, size=last_w[:, 2:].shape)
+        last_b[2:] = 0.0
+        raw = bundle.policy_net.forward(batch.states)[:, 2:]
+        last_b[2:] = np.array([nn.LOG_STD_MIN, nn.LOG_STD_MAX]) - np.median(raw, axis=0)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if algorithm == "cql_awr":
+            got = agent.cql_actor_loss(bundle, batch, hp, got_rng)
+        else:
+            got = agent.explore_policy_loss(bundle, batch, model, hp, got_rng)
+        raw = bundle.policy_net.forward(batch.states)[:, 2:]
+        assert (raw[:, 0] < nn.LOG_STD_MIN).any() and (raw[:, 0] > nn.LOG_STD_MIN).any()
+        assert (raw[:, 1] > nn.LOG_STD_MAX).any() and (raw[:, 1] < nn.LOG_STD_MAX).any()
+        loss, awr, grads = reference_policy_loss(bundle, batch, model, hp, want_rng,
+                                                 algorithm)
+        assert np.array([got.loss, got.awr_loss]).tobytes() == np.array([loss, awr]).tobytes()
+        assert got.grads.flat.tobytes() == grads.flat.tobytes()
+        assert got_rng.random() == want_rng.random()
 
 
 def reference_adam_step(state, params, grads):

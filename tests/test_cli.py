@@ -604,6 +604,57 @@ def test_hidden_width_below_one_is_one_line_error(workspace, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [",", "", "32,,32", "32,"])
+@pytest.mark.parametrize("command, source", [
+    ("train-dynamics", "flag"), ("train", "flag"), ("sweep", "flag"),
+    ("train-dynamics", "config"), ("train", "config"), ("sweep", "config"),
+])
+def test_empty_hidden_size_item_is_one_line_config_error(workspace, tmp_path, capsys,
+                                                         command, source, value):
+    """An empty item is not dropped: ``32,,32`` is not (32, 32), and ``,``
+    is not an ensemble or agent without hidden layers."""
+    _, data_dir, model_dir = workspace
+    argv = [command, "--data", data_dir]
+    if command == "sweep":
+        argv += ["--model", model_dir, "--param", "tau_budget", "--values", "5"]
+    if source == "flag":
+        argv += ["--hidden-sizes", value]
+        where = "--hidden-sizes"
+    else:
+        config = tmp_path / "widths.ini"
+        config.write_text(f"[{command}]\nhidden_sizes = {value}\n")
+        argv += ["--config", config]
+        where = "config entry hidden_sizes"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"config error: {where}: expected comma-separated "
+                                       f"values, none empty, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["5,,10", "5,10,", ",", ""])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_sweep_value_is_one_line_config_error(workspace, tmp_path, capsys, source,
+                                                    values):
+    _, data_dir, model_dir = workspace
+    argv = ["sweep", "--data", data_dir, "--model", model_dir, "--param", "tau_budget"]
+    if source == "flag":
+        argv += ["--values", values]
+        where = "--values"
+    else:
+        config = tmp_path / "grid.ini"
+        config.write_text(f"[sweep]\nvalues = {values}\n")
+        argv += ["--config", config]
+        where = "config entry values"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"config error: {where}: expected comma-separated "
+                                       f"values, none empty, got {values!r}\n")
+    assert not out.exists()
+
+
 def test_importing_the_cli_does_not_load_multiprocessing():
     code = "import sys, csve.cli; print('concurrent.futures.process' in sys.modules)"
     src = str(Path(cli.__file__).resolve().parent.parent)

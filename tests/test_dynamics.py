@@ -45,10 +45,12 @@ def perfect_linear_model(a, b):
 
 
 def member_gaussian(model, index, states, actions):
-    """Normalized-space mean and clamped log-std of one member."""
-    out = model.members[index].forward(model._inputs(states, actions))
+    """Normalized-space mean and clamped log-std of one member, with the
+    np.hstack and np.clip that the model's own passes replace."""
+    x = (np.hstack([states, actions]) - model.in_mean) / model.in_std
+    out = model.members[index].forward(x)
     dim = model.state_dim + 1
-    return out[..., :dim], nn.clamp_log_std(out[..., dim:])
+    return out[..., :dim], np.clip(out[..., dim:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,44 @@ def test_empty_dataset_rejected():
                                      np.zeros(0, dtype=bool))
     with pytest.raises(InputError):
         dynamics.train_ensemble(ds, dynamics.EnsembleConfig(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -8),
+                                          ("learning_rate", 0.0), ("learning_rate", -1e-3),
+                                          ("learning_rate", float("nan"))])
+def test_config_rejects_empty_batches_and_non_positive_learning_rates(field, value):
+    with pytest.raises(InputError, match=field):
+        dynamics.EnsembleConfig(**{field: value})
+
+
+@pytest.mark.parametrize("members, batch_size, patience, max_epochs, rows, seed", [
+    (3, 64, 1, 40, 300, 0),   # 270 training rows: a last minibatch of 14
+    (2, 50, 2, 25, 401, 5),   # 361 rows: 11 in the last minibatch
+    (1, 32, 3, 6, 250, 2),    # one member, 225 rows: 1 in the last minibatch
+])
+def test_fit_matches_the_per_minibatch_gather_fit_bit_for_bit(
+        gather_fit, members, batch_size, patience, max_epochs, rows, seed):
+    """Slices of one gather per epoch, and the losses written with ufunc
+    calls, give every bit of a gather per minibatch with np.mean, np.sum,
+    np.hstack and np.clip: each member's kept parameters and NLL history."""
+    dataset, _ = linear_system_dataset(n=rows, seed=seed, noise=0.3)
+    config = dynamics.EnsembleConfig(num_members=members, hidden_sizes=(16, 16),
+                                     batch_size=batch_size, patience=patience,
+                                     max_epochs=max_epochs, learning_rate=1e-2)
+    train_rows = rows - round(config.holdout_fraction * rows)
+    assert train_rows % batch_size != 0
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    model = dynamics.train_ensemble(dataset, config, got_rng)
+    want_flats, want_history = gather_fit(dataset, config, want_rng)
+    assert [m.flat.tobytes() for m in model.members] == [f.tobytes() for f in want_flats]
+    for key in ("train_nll", "holdout_nll"):
+        assert np.array(sum(model.history[key], [])).tobytes() == \
+            np.array(sum(want_history[key], [])).tobytes()
+        assert [len(h) for h in model.history[key]] == [len(h) for h in want_history[key]]
+    assert got_rng.random() == want_rng.random()
+    epochs = [len(h) for h in model.history["train_nll"]]
+    if members > 1:  # early stopping ends the members at different epochs
+        assert len(set(epochs)) > 1 and min(epochs) < max_epochs, epochs
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +285,9 @@ def test_ensemble_passes_match_member_by_member_reference_exactly():
         grad_x += member.backward(cache, np.hstack([cot_mean, np.zeros_like(cot_mean)]))[1]
 
     nxt, rew, pullback = model.mean_prediction_with_action_grad(states, actions)
-    assert np.array_equal(nxt, states + denorm[:, :2])
-    assert np.array_equal(rew, denorm[:, 2])
-    assert np.array_equal(pullback(cot_next, cot_rew), grad_x[:, 2:] / model.in_std[2:])
+    assert nxt.tobytes() == (states + denorm[:, :2]).tobytes()
+    assert rew.tobytes() == denorm[:, 2].tobytes()
+    assert pullback(cot_next, cot_rew).tobytes() == (grad_x[:, 2:] / model.in_std[2:]).tobytes()
 
     draw, want_rng = np.random.default_rng(8), np.random.default_rng(8)
     got_next, got_rew = model.sample_next_batch(states, actions, draw)
@@ -259,8 +299,8 @@ def test_ensemble_passes_match_member_by_member_reference_exactly():
         mean, log_std = member_gaussian(model, b, states[sel], actions[sel])
         sample[sel] = mean + np.exp(log_std) * noise[sel]
     sample = sample * model.out_std + model.out_mean
-    assert np.array_equal(got_next, states + sample[:, :2])
-    assert np.array_equal(got_rew, sample[:, 2])
+    assert got_next.tobytes() == (states + sample[:, :2]).tobytes()
+    assert got_rew.tobytes() == sample[:, 2].tobytes()
 
 
 def test_writes_through_member_views_reach_the_stacked_passes():

@@ -152,9 +152,9 @@ def test_forward_and_backward_match_preactivation_reference_exactly(activation):
     out, cache = mlp.forward_cache(x)
     grads, input_grad = mlp.backward(cache, cot)
     want_out, want_grads, want_input = reference_pass(mlp, x, cot)
-    assert np.array_equal(out, want_out)
-    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
-    assert np.array_equal(input_grad, want_input)
+    assert out.tobytes() == want_out.tobytes()
+    assert [g.tobytes() for g in grads] == [w.tobytes() for w in want_grads]
+    assert input_grad.tobytes() == want_input.tobytes()
     assert np.array_equal(mlp.input_grad(cache, cot), want_input)
     assert np.array_equal(x, x_before)
     # an unbatched row is a batch of one (not row 0 of a larger product,
@@ -444,6 +444,21 @@ def test_stacked_backward_matches_finite_differences(activation):
     assert np.max(np.abs(numeric - stacked.input_grad(cache, cot))) < 1e-5
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stacked_passes_give_each_members_reference_bits(activation):
+    rng = np.random.default_rng(23)
+    nets = _perturbed_nets(rng, [3, 16, 8, 2], activation, 3)
+    x, cot = rng.normal(size=(40, 3)), rng.normal(size=(3, 40, 2))
+    stacked = nn.Mlp.stack(nets)
+    out, cache = stacked.forward_cache(x)
+    grads, input_grad = stacked.backward(cache, cot)
+    for b, net in enumerate(nets):
+        want_out, want_grads, want_input = reference_pass(net, x, cot[b])
+        assert out[b].tobytes() == want_out.tobytes()
+        assert [g[b].tobytes() for g in grads] == [w.tobytes() for w in want_grads]
+        assert input_grad[b].tobytes() == want_input.tobytes()
+
+
 def test_stack_then_member_gives_back_the_networks():
     import pickle
 
@@ -506,6 +521,31 @@ def test_log_std_clamping_keeps_density_finite():
     log_std = nn.clamp_log_std(np.array([-100.0, 100.0]))
     assert log_std.tolist() == [nn.LOG_STD_MIN, nn.LOG_STD_MAX]
     assert np.isfinite(nn.gaussian_log_prob(np.zeros(2), log_std, np.array([3.0, -3.0])))
+
+
+def test_gaussian_helpers_give_the_bits_of_np_clip_and_np_sum():
+    """clamp_log_std, gaussian_log_prob and squashed_gaussian_log_prob call
+    np.maximum/np.minimum and np.add.reduce; compared by bytes, so a -0.0
+    for a 0.0 or another NaN payload would fail."""
+    rng = np.random.default_rng(13)
+    raw = np.concatenate([rng.normal(0.0, 6.0, size=(40, 3)),
+                          [[nn.LOG_STD_MIN, nn.LOG_STD_MAX, -0.0],
+                           [0.0, np.inf, -np.inf], [np.nan, -12.0, 2.5]]])
+    clamped = nn.clamp_log_std(raw)
+    assert clamped.tobytes() == np.clip(raw, nn.LOG_STD_MIN, nn.LOG_STD_MAX).tobytes()
+    mean, x, log_std = rng.normal(size=(43, 3)), rng.normal(size=(43, 3)), clamped
+    z = (x - mean) / np.exp(log_std)
+    want = -0.5 * np.sum(z * z + 2.0 * log_std + nn.LOG_TWO_PI, axis=-1)
+    assert nn.gaussian_log_prob(mean, log_std, x).tobytes() == want.tobytes()
+    scale = np.array([2.0, 1.0, 0.5])
+    actions = np.concatenate([scale * np.tanh(rng.normal(0.0, 3.0, size=(40, 3))),
+                              [scale, -scale, [0.0, -0.0, 0.5]]])
+    log_prob, u = nn.squashed_gaussian_log_prob(mean, log_std, actions, scale)
+    a = np.clip(actions / scale, -(1.0 - 1e-9), 1.0 - 1e-9)
+    want_u = np.arctanh(a)
+    want = (nn.gaussian_log_prob(mean, log_std, want_u)
+            - np.sum(np.log(scale * (1.0 - a * a)), axis=-1))
+    assert u.tobytes() == want_u.tobytes() and log_prob.tobytes() == want.tobytes()
 
 
 def test_log_prob_gradients_match_finite_differences():

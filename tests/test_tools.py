@@ -65,3 +65,33 @@ def test_rejected_runs_name_each_side_and_seed_the_checks_refused():
              {"seed": 2, "base": {"correct": False}, "head": {"correct": False}}]
     assert compare.rejected_runs(pairs[:1]) == []
     assert compare.rejected_runs(pairs) == ["head seed 1", "base seed 2", "head seed 2"]
+
+
+def test_count_diff_lists_only_count_metrics_that_differ():
+    compare = load_tool("compare")
+    specs = [{"name": "nn.forward_calls_per_step", "unit": "count"},
+             {"name": "dynamics.fit_pct", "unit": "%"},
+             {"name": "dynamics.member_passes_per_step", "unit": "count"},
+             {"name": "dynamics.fit_epochs", "unit": "count"},
+             {"name": "conservative.fixed_point_sweeps", "unit": "count"}]
+    base = {"nn.forward_calls_per_step": 9.0, "dynamics.fit_pct": 20.0,
+            "dynamics.member_passes_per_step": 3.0, "dynamics.fit_epochs": 10.0,
+            "conservative.fixed_point_sweeps": 1.0}
+    head = {**base, "dynamics.fit_pct": 17.5, "dynamics.fit_epochs": 9.6}
+    del head["conservative.fixed_point_sweeps"]
+    # a changed time share is not a count; a metric one side lacks differs
+    assert compare.count_diff(base, head, specs) == ["dynamics.fit_epochs",
+                                                     "conservative.fixed_point_sweeps"]
+    assert compare.count_diff(base, base, specs) == []
+
+
+@pytest.mark.parametrize("seeds", ["0,,1", "0,1,", ","])
+def test_compare_refuses_an_empty_hash_seed_before_any_run(tmp_path, capsys, seeds):
+    compare = load_tool("compare")
+    out = tmp_path / "record.json"
+    with pytest.raises(SystemExit) as exit_info:
+        compare.main(["--base", "HEAD", "--workload", "certify", "--pairs", "1",
+                      "--out", str(out), "--hash-seeds", seeds])
+    assert exit_info.value.code == 2
+    assert "--hash-seeds must be comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()

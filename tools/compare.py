@@ -17,10 +17,13 @@ the head won (strictly better in the metric's direction) and whether the
 medians differ by more than the base's interquartile range.  With
 ``--hash-seeds``, it then runs ``tools/output_hashes.py --seed s`` in both
 checkouts for each listed seed and records the paths whose md5 differ.
-The JSON written to ``--out`` holds both shas, a digest of each side's
-``src/``, nproc, the numpy version, the BLAS thread setting, every pair,
-the summary and the hash diffs.  Exits 1, writing nothing, if a run fails
-to produce a result or its checks reject its output (``correct`` false).
+Last, it runs one traced run (``--trace 1``, seed 0) per side and prints
+the count metrics whose values differ between the two.  The JSON
+written to ``--out`` holds both shas, a digest of each side's ``src/``,
+nproc, the numpy version, the BLAS thread setting, every pair, the summary,
+the hash diffs and both traced runs' metrics.  Exits 1, writing nothing, if
+a run fails to produce a result or its checks reject its output (``correct``
+false).
 """
 
 from __future__ import annotations
@@ -56,11 +59,11 @@ def src_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``bench/run.py`` run in ``root``; returns its info and result lines."""
     done = subprocess.run([sys.executable, str(root / "bench" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or len(lines) < 2:
@@ -88,6 +91,14 @@ def hash_diff(base_lines, head_lines) -> list[str]:
     base, head = ({path: md5 for md5, path in (line.split(None, 1) for line in lines)}
                   for lines in (base_lines, head_lines))
     return sorted(path for path in base.keys() | head.keys() if base.get(path) != head.get(path))
+
+
+def count_diff(base: dict, head: dict, per_layer) -> list[str]:
+    """Names, in ``per_layer`` order, of the metrics of unit ``count`` whose
+    values differ between two traced runs' metrics (one side lacking a
+    metric counts as a difference)."""
+    return [spec["name"] for spec in per_layer
+            if spec["unit"] == "count" and base.get(spec["name"]) != head.get(spec["name"])]
 
 
 def rejected_runs(pairs) -> list[str]:
@@ -145,7 +156,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     try:
-        hash_seeds = [int(s) for s in args.hash_seeds.split(",") if s]
+        hash_seeds = [int(s) for s in args.hash_seeds.split(",")] if args.hash_seeds else []
     except ValueError:
         parser.error("--hash-seeds must be comma-separated integers")
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -185,6 +196,12 @@ def main(argv=None) -> int:
                                      "differ": hash_diff(lines["base"], lines["head"])}
                 print(f"hash seed {seed}: {len(hashes[str(seed)]['differ'])} of "
                       f"{len(lines['head'])} files differ", flush=True)
+            traced = {side: run_side(root, args.workload, 0, seconds, trace=1)
+                      for side, root in sides.items()}
+            rejected = [side for side, run in traced.items() if not run["correct"]]
+            if rejected:
+                raise RuntimeError(f"the benchmark's checks rejected the traced "
+                                   f"{' and '.join(rejected)} run")
         except RuntimeError as err:
             print(f"compare: {err}", file=sys.stderr)
             return 1
@@ -201,10 +218,17 @@ def main(argv=None) -> int:
     for side in ("base", "head"):
         failed = sum(p[side]["failed"] for p in pairs)
         print(f"{side}: {failed} failed of {sum(p[side]['attempted'] for p in pairs)} stages")
+    base_traced, head_traced = traced["base"]["metrics"], traced["head"]["metrics"]
+    counts_differ = count_diff(base_traced, head_traced, manifest["per_layer"])
+    print("traced run, seed 0, count metrics that differ (base, head): "
+          + (", ".join(f"{name} ({base_traced.get(name)}, {head_traced.get(name)})"
+                       for name in counts_differ) or "none"))
     record = {"workload": args.workload, "seconds": seconds, "base": base, "head": head,
               "nproc": os.cpu_count(), "numpy": np.__version__,
               "blas_threads": pairs[0]["head"]["info"].get("blas_threads"),
-              "pairs": pairs, "summary": summary, "output_hashes_differ": hashes}
+              "pairs": pairs, "summary": summary, "output_hashes_differ": hashes,
+              "traced": {"seed": 0, "base": base_traced, "head": head_traced,
+                         "counts_differ": counts_differ}}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0

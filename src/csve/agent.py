@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -58,6 +59,9 @@ class CsveHyperParams:
     n_eval: int = 10
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         checks = [
             (self.alpha_init >= 0, "alpha_init must be nonnegative"),
             (self.tau_budget > 0, "tau_budget must be positive"),

@@ -124,10 +124,8 @@ _HP_KINDS = {f.name: type(f.default) for f in dataclasses.fields(agent.CsveHyper
 
 
 def _hyper_params(args) -> agent.CsveHyperParams:
-    values = {}
-    for name, kind in _HP_KINDS.items():
-        values[name] = resolve(args, name, kind, getattr(_HP_DEFAULTS, name))
-    return agent.CsveHyperParams(**values)
+    return agent.CsveHyperParams(**{name: resolve(args, name, kind, getattr(_HP_DEFAULTS, name))
+                                    for name, kind in _HP_KINDS.items()})
 
 
 _HP_DEFAULTS = agent.CsveHyperParams()
@@ -424,67 +422,43 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="csve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = {  # name: help, handler, own flags (value: choices); train and sweep add _HP_KINDS
+        "gen-data": ("generate a tiered offline dataset", cmd_gen_data,
+                     {"env": envs.ENV_NAMES, "tier": data.DATASET_TIERS, "size": None}),
+        "train-dynamics": ("fit the ensemble dynamics model", cmd_train_dynamics,
+                           dict.fromkeys(("data", "members", "hidden-sizes", "max-epochs"))),
+        "train": ("train an offline agent", cmd_train,
+                  {"data": None, "model": None, "algorithm": agent.ALGORITHMS, "no-eval": None}),
+        "eval": ("evaluate a checkpoint or scripted policy", cmd_eval,
+                 {"data": None, "checkpoint": None, "scripted": envs.TIERS, "episodes": None}),
+        "verify-theory": ("run the certification suites", cmd_verify_theory,
+                          dict.fromkeys(("suite", "trials"))),
+        "sweep": ("grid sweep over one parameter", cmd_sweep,
+                  {"data": None, "model": None, "algorithm": agent.ALGORITHMS,
+                   **dict.fromkeys(("param", "values", "seeds", "workers"))}),
+    }
+    for name, (text, func, flags) in commands.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("gen-data", help="generate a tiered offline dataset")
-    common(p)
-    p.add_argument("--env", choices=envs.ENV_NAMES, default=None)
-    p.add_argument("--tier", choices=data.DATASET_TIERS, default=None)
-    p.add_argument("--size", default=None)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train-dynamics", help="fit the ensemble dynamics model")
-    common(p)
-    p.add_argument("--data", default=None)
-    p.add_argument("--members", default=None)
-    p.add_argument("--hidden-sizes", default=None, metavar="N,N")
-    p.add_argument("--max-epochs", default=None)
-    p.set_defaults(func=cmd_train_dynamics)
-
-    p = sub.add_parser("train", help="train an offline agent")
-    common(p)
-    p.add_argument("--data", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--algorithm", choices=agent.ALGORITHMS, default=None)
-    p.add_argument("--no-eval", default=None, metavar="BOOL")
-    _add_hp_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint or scripted policy")
-    common(p)
-    p.add_argument("--data", default=None)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--scripted", choices=envs.TIERS, default=None)
-    p.add_argument("--episodes", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("verify-theory", help="run the certification suites")
-    common(p)
-    p.add_argument("--suite", default=None)
-    p.add_argument("--trials", default=None)
-    p.set_defaults(func=cmd_verify_theory)
-
-    p = sub.add_parser("sweep", help="grid sweep over one parameter")
-    common(p)
-    p.add_argument("--data", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--algorithm", choices=agent.ALGORITHMS, default=None)
-    p.add_argument("--param", default=None)
-    p.add_argument("--values", default=None)
-    p.add_argument("--seeds", default=None)
-    p.add_argument("--workers", default=None)
-    _add_hp_flags(p)
-    p.set_defaults(func=cmd_sweep)
+        for flag, choices in flags.items():
+            p.add_argument("--" + flag, choices=choices, default=None,
+                           metavar={"hidden-sizes": "N,N", "no-eval": "BOOL"}.get(flag))
+        if name in ("train", "sweep"):
+            _add_hp_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
+_PARSER = None  # built by the first ``main`` call, not at import; reused after
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be at least 0, got {args.seed}")

@@ -26,6 +26,7 @@ from .tabular import (
     TabularDataset,
     TabularMdp,
     ValueTable,
+    discounted_occupancies,
     discounted_state_occupancy,
     exact_policy_evaluation,
     policy_iteration,
@@ -54,7 +55,7 @@ class CsvePenaltyConfig:
         if self.d.probs.shape != self.d_u.probs.shape:
             raise SupportError("d and d_u must share one state space")
         bad = (self.d.probs > 0) & (self.d_u.probs == 0)
-        if np.any(bad):
+        if bad.any():
             raise SupportError(
                 f"d places mass outside supp(d_u) at states {np.flatnonzero(bad).tolist()}"
             )
@@ -138,7 +139,7 @@ def csve_objective_argmin(v: ValueTable, policy: PolicyTable, empirical: Tabular
         return ValueTable(out)
     if method != "grid":
         raise ValueError(f"unknown method {method!r}")
-    span = np.max(np.abs(backup)) + penalty.alpha * (np.max(np.abs(penalty.bracket())) + 1.0) + 1.0
+    span = abs(backup).max() + penalty.alpha * (abs(penalty.bracket()).max() + 1.0) + 1.0
     for s in np.flatnonzero(on):
         def objective(val):
             return 0.5 * du[s] * (backup[s] - val) ** 2 + penalty.alpha * (d[s] - du[s]) * val
@@ -175,13 +176,13 @@ def cql_q_operator(q: QTable, policy: PolicyTable, mu: PolicyTable | None,
     beta = behavior.probs
     mu_p = mu.probs
     bad = (mu_p > 0) & (beta == 0)
-    if np.any(bad):
+    if bad.any():
         raise SupportError("mu places mass on actions the behavior policy never takes")
     ratio = np.zeros_like(beta)
     on = beta > 0
     ratio[on] = mu_p[on] / beta[on]
     bracket = np.where(on, ratio - 1.0, 0.0)
-    v_next = np.sum(policy.probs * q.values, axis=1)
+    v_next = (policy.probs * q.values).sum(axis=1)
     backup = empirical.reward + empirical.discount * (empirical.transition @ v_next)
     return QTable(backup - alpha * bracket)
 
@@ -249,7 +250,7 @@ def certify_lower_bound_under_d(mdp: TabularMdp, empirical: TabularMdp,
     v_true = exact_policy_evaluation(mdp, policy)
     lhs = float(penalty.d.probs @ v_hat.values)
     rhs = float(penalty.d.probs @ v_true.values)
-    witness = int(np.argmax(v_hat.values - v_true.values))
+    witness = int((v_hat.values - v_true.values).argmax())
     return CertificationReport(lhs <= rhs + REPORT_TOL, lhs, rhs, threshold, witness)
 
 
@@ -267,7 +268,7 @@ def certify_lower_bound_under_data(mdp: TabularMdp, empirical: TabularMdp,
     du = penalty.d_u.probs
     lhs = float(du @ v_hat.values)
     rhs = float(du @ v_true.values + du @ weighted)
-    witness = int(np.argmax(v_hat.values - v_true.values - weighted))
+    witness = int((v_hat.values - v_true.values - weighted).argmax())
     return CertificationReport(lhs <= rhs + REPORT_TOL, lhs, rhs, 0.0, witness)
 
 
@@ -306,11 +307,23 @@ def certify_gap_expansion(mdp: TabularMdp, empirical: TabularMdp, policy: Policy
 def penalized_objective(policy: PolicyTable, empirical: TabularMdp,
                         penalty: CsvePenaltyConfig) -> float:
     """J(pi, empirical MDP) minus alpha/(1-gamma) times the occupancy-weighted
-    penalty bracket."""
-    v = exact_policy_evaluation(empirical, policy)
-    j = float(empirical.initial_dist @ v.values)
-    occupancy = discounted_state_occupancy(empirical, policy)
-    penalty_term = float(occupancy.probs @ penalty.bracket())
+    penalty bracket: ``penalized_objectives`` on a stack of one."""
+    return float(penalized_objectives(policy_transition_matrix(empirical, policy)[None],
+                                      policy_reward_vector(empirical, policy)[None],
+                                      empirical, penalty)[0])
+
+
+def penalized_objectives(p_pi: np.ndarray, r_pi: np.ndarray, empirical: TabularMdp,
+                         penalty: CsvePenaltyConfig) -> np.ndarray:
+    """The penalized objective of each policy of a stack, given by its P_pi
+    (N, S, S) and r_pi (N, S): one stacked solve for the values and one for
+    the occupancies.  The two scalar products run row by row, because a
+    stacked product rounds differently from a policy's own."""
+    values = solve_policy_values(p_pi, r_pi, empirical.discount)
+    occupancy = discounted_occupancies(p_pi, empirical.initial_dist, empirical.discount)
+    rho, bracket = empirical.initial_dist, penalty.bracket()
+    j = np.array([rho @ v for v in values])
+    penalty_term = np.array([occ @ bracket for occ in occupancy])
     return j - penalty.alpha / (1.0 - empirical.discount) * penalty_term
 
 
@@ -336,7 +349,7 @@ def safe_improvement_breakdown(mdp: TabularMdp, empirical: TabularMdp,
     star, beta = pi_star.probs, pi_beta.probs
     supported = dataset.count_s > 0
     bad = supported[:, None] & (star > 0) & (beta == 0)
-    if np.any(bad):
+    if bad.any():
         raise SupportError("pi_star uses actions unsupported by pi_beta on visited states")
     ratio_sq = np.zeros_like(star)
     on = beta > 0
@@ -378,8 +391,8 @@ def certify_interpolation(rho: StateDistribution, d: StateDistribution,
     rho_p, d_p = rho.probs, d.probs
     d_f = f * d_p + (1.0 - f) * rho_p
     include = (rho_p > 0) & (d_f > 0)
-    value = float(np.sum(rho_p[include] * (rho_p[include] - d_p[include]) / d_f[include]))
-    excluded = int(np.sum((rho_p > 0) & (d_f == 0)))
+    value = float((rho_p[include] * (rho_p[include] - d_p[include]) / d_f[include]).sum())
+    excluded = int(((rho_p > 0) & (d_f == 0)).sum())
     return CertificationReport(
         holds=value >= -1e-12,
         lhs=-value,

@@ -43,8 +43,9 @@ class EnsembleConfig:
             raise InputError("patience, max_epochs and batch_size must be positive")
         if not all(width >= 1 for width in self.hidden_sizes):
             raise InputError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
-        if not self.learning_rate > 0:
-            raise InputError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise InputError(f"learning_rate must be positive and finite, got "
+                             f"{self.learning_rate}")
 
 
 @dataclass

@@ -54,18 +54,17 @@ class TabularMdp:
             raise InputError(f"reward must be {(s, a)}, got {r.shape}")
         if rho.shape != (s,):
             raise InputError(f"initial_dist must be ({s},), got {rho.shape}")
-        if np.any(p < -PROB_ATOL) or np.any(p > 1 + PROB_ATOL):
+        if (p < -PROB_ATOL).any() or (p > 1 + PROB_ATOL).any():
             raise InputError("transition entries must lie in [0, 1]")
-        row_sums = p.sum(axis=2)
-        if np.max(np.abs(row_sums - 1.0)) > PROB_ATOL:
+        if abs(p.sum(axis=2) - 1.0).max() > PROB_ATOL:
             raise InputError("each transition row P(.|s,a) must sum to 1")
-        if np.any(rho < -PROB_ATOL) or abs(rho.sum() - 1.0) > PROB_ATOL:
+        if (rho < -PROB_ATOL).any() or abs(rho.sum() - 1.0) > PROB_ATOL:
             raise InputError("initial_dist must be a probability vector")
         if not (0.0 < self.discount < 1.0):
             raise InputError(f"discount must be in (0, 1), got {self.discount}")
         if self.r_max < 0:
             raise InputError("r_max must be nonnegative")
-        if np.max(np.abs(r)) > self.r_max + PROB_ATOL:
+        if abs(r).max() > self.r_max + PROB_ATOL:
             raise InputError("|reward| must not exceed r_max")
 
     @property
@@ -88,9 +87,9 @@ class PolicyTable:
         p = self.probs
         if p.ndim != 2:
             raise InputError("policy table must be two-dimensional")
-        if np.any(p < -PROB_ATOL) or np.any(p > 1 + PROB_ATOL):
+        if (p < -PROB_ATOL).any() or (p > 1 + PROB_ATOL).any():
             raise InputError("policy probabilities must lie in [0, 1]")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > PROB_ATOL:
+        if abs(p.sum(axis=1) - 1.0).max() > PROB_ATOL:
             raise InputError("each policy row must sum to 1")
 
     @property
@@ -112,7 +111,7 @@ class ValueTable:
         object.__setattr__(self, "values", _frozen_array(self.values))
         if self.values.ndim != 1:
             raise InputError("value table must be one-dimensional")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise InputError("value table entries must be finite")
 
 
@@ -126,7 +125,7 @@ class QTable:
         object.__setattr__(self, "values", _frozen_array(self.values))
         if self.values.ndim != 2:
             raise InputError("Q table must be two-dimensional")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise InputError("Q table entries must be finite")
 
 
@@ -144,7 +143,7 @@ class StateDistribution:
         p = self.probs
         if p.ndim != 1:
             raise InputError("state distribution must be one-dimensional")
-        if np.any(p < -PROB_ATOL) or np.any(p > 1 + PROB_ATOL):
+        if (p < -PROB_ATOL).any() or (p > 1 + PROB_ATOL).any():
             raise InputError("probabilities must lie in [0, 1]")
         if abs(p.sum() - 1.0) > PROB_ATOL:
             raise InputError("state distribution must sum to 1")
@@ -203,7 +202,7 @@ class TabularDataset:
         for name in ("actions", "rewards", "next_states"):
             if getattr(self, name).shape != (n,):
                 raise InputError("transition arrays must share one length")
-        if np.any(self.count_sa < 0):
+        if (self.count_sa < 0).any():
             raise InputError("counts must be nonnegative")
         recount = np.zeros_like(self.count_sa)
         np.add.at(recount, (self.states, self.actions), 1)
@@ -256,21 +255,27 @@ def policy_transition_matrix(mdp: TabularMdp, policy: PolicyTable) -> np.ndarray
 
 def policy_reward_vector(mdp: TabularMdp, policy: PolicyTable) -> np.ndarray:
     """r_pi(s) = sum_a pi(a|s) r(s,a)."""
-    return np.sum(policy.probs * mdp.reward, axis=1)
+    return (policy.probs * mdp.reward).sum(axis=1)
 
 
 def solve_policy_values(p_pi: np.ndarray, r_pi: np.ndarray, discount: float) -> np.ndarray:
-    """Solve (I - discount P_pi) V = r_pi exactly by dense factorization.
-
-    The system is nonsingular for any discount < 1; a residual above
-    SOLVE_RTOL * (1 + max |r_pi|) raises NumericError.
-    """
-    a = np.eye(p_pi.shape[0]) - discount * p_pi
-    v = np.linalg.solve(a, r_pi)
-    residual = np.max(np.abs(a @ v - r_pi))
-    bound = SOLVE_RTOL * (1.0 + np.max(np.abs(r_pi)))
-    if residual > bound:
-        raise NumericError(f"linear solve residual {residual:.3e} exceeds {bound:.3e}")
+    """Solve (I - discount P_pi) V = r_pi by dense factorization, for one
+    system (S, S) / (S,) or a stack (..., S, S) / (..., S).  Each system is
+    solved on its own, with the bits of its one-system call; a singular one,
+    or one whose residual exceeds SOLVE_RTOL * (1 + max |r_pi|) of its own
+    r_pi, raises NumericError.  Any discount < 1 makes every system regular."""
+    a = np.eye(p_pi.shape[-1]) - discount * p_pi
+    try:
+        # a 2-D right-hand side would be one matrix, not a stack of vectors
+        v = np.linalg.solve(a, r_pi[..., None])[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"linear solve failed: {err}") from None
+    residual = abs((a @ v[..., None])[..., 0] - r_pi).max(axis=-1)
+    bound = SOLVE_RTOL * (1.0 + abs(r_pi).max(axis=-1))
+    bad = ~(residual <= bound)
+    if bad.any():
+        raise NumericError(f"linear solve residual {residual[bad].flat[0]:.3e} exceeds "
+                           f"{bound[bad].flat[0]:.3e}")
     return v
 
 
@@ -304,15 +309,30 @@ def policy_iteration(mdp: TabularMdp, correction=0.0) -> tuple[ValueTable, Polic
     raise ConvergenceError("policy iteration did not converge")
 
 
+def discounted_occupancies(p_pi: np.ndarray, initial_dist: np.ndarray,
+                           discount: float) -> np.ndarray:
+    """Normalized discounted visitation d_pi = (1-gamma) rho^T (I - gamma P_pi)^-1
+    of each system of a stack ``p_pi`` (..., S, S), one ``solve_policy_values``
+    on the transposes; each mass must lie within 1e-10 of 1 before it is
+    normalized, and each row must be a probability vector after."""
+    occ = (1.0 - discount) * solve_policy_values(
+        p_pi.swapaxes(-1, -2), np.broadcast_to(initial_dist, p_pi.shape[:-1]), discount)
+    occ = occ.clip(0.0, None)
+    total = occ.sum(axis=-1, keepdims=True)
+    bad = abs(total - 1.0) > 1e-10
+    if bad.any():
+        raise NumericError(f"occupancy mass {total[bad][0]} deviates from 1 beyond 1e-10")
+    occ /= total
+    if (occ > 1 + PROB_ATOL).any() or (abs(occ.sum(axis=-1) - 1.0) > PROB_ATOL).any():
+        raise NumericError("occupancy rows must be probability vectors")
+    return occ
+
+
 def discounted_state_occupancy(mdp: TabularMdp, policy: PolicyTable) -> StateDistribution:
-    """Normalized discounted visitation d_pi = (1-gamma) rho^T (I - gamma P_pi)^-1."""
-    p_pi = policy_transition_matrix(mdp, policy)
-    occ = (1.0 - mdp.discount) * solve_policy_values(p_pi.T, mdp.initial_dist, mdp.discount)
-    occ = np.clip(occ, 0.0, None)
-    total = occ.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise NumericError(f"occupancy mass {total} deviates from 1 beyond 1e-10")
-    return StateDistribution(occ / total, kind="discounted_occupancy")
+    """``discounted_occupancies`` of one policy's P_pi as a state distribution."""
+    return StateDistribution(discounted_occupancies(policy_transition_matrix(mdp, policy),
+                                                    mdp.initial_dist, mdp.discount),
+                             kind="discounted_occupancy")
 
 
 def empirical_mdp(dataset: TabularDataset, template: TabularMdp) -> TabularMdp:
@@ -369,7 +389,7 @@ def sampling_error_vector(dataset: TabularDataset, sem: SamplingErrorModel,
     E_{a~pi}[c_rt * r_max / ((1-gamma) * sqrt(count(s,a)))]."""
     counts = effective_counts(dataset, sem)
     per_pair = sem.c_rt * mdp.r_max / ((1.0 - mdp.discount) * np.sqrt(counts))
-    return np.sum(policy.probs * per_pair, axis=1)
+    return (policy.probs * per_pair).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +433,7 @@ def choice_cdf(probs: np.ndarray) -> np.ndarray:
     way over these rows, with u taken from the same stream, reproduces its
     draws exactly.
     """
-    cdf = np.cumsum(probs, axis=-1)
+    cdf = probs.cumsum(axis=-1)
     return cdf / cdf[..., -1:]
 
 

@@ -13,7 +13,6 @@ and which an adversarial d can violate.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -64,7 +63,7 @@ def margin_guarded_distribution(d_u: tab.StateDistribution, discount: float,
         if _bracket_margin(probs, d_u.probs, discount) > MARGIN_EPS:
             return tab.StateDistribution(probs)
     probs = np.zeros_like(d_u.probs)
-    probs[support[np.argmin(d_u.probs[support])]] = 1.0
+    probs[support[d_u.probs[support].argmin()]] = 1.0
     if _bracket_margin(probs, d_u.probs, discount) <= MARGIN_EPS:
         raise DegenerateDistributionError(
             "no sampling distribution with a positive penalty margin exists; "
@@ -112,8 +111,7 @@ def run_contraction_trials(trials: int, seed0: int = 0, max_states: int = 20,
                            max_actions: int = 5) -> list[dict]:
     """sup-norm contraction of the penalized operator on random tuples."""
     rows = []
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(seed0, seed0 + trials):
         rng = np.random.default_rng(seed)
         s = int(rng.integers(2, max_states + 1))
         a = int(rng.integers(1, max_actions + 1))
@@ -128,8 +126,8 @@ def run_contraction_trials(trials: int, seed0: int = 0, max_states: int = 20,
         v2 = tab.ValueTable(rng.normal(0.0, 10.0, size=s))
         tv1 = cons.csve_operator(v1, policy, mdp, penalty)
         tv2 = cons.csve_operator(v2, policy, mdp, penalty)
-        lhs = float(np.max(np.abs(tv1.values - tv2.values)))
-        rhs = discount * float(np.max(np.abs(v1.values - v2.values)))
+        lhs = float(abs(tv1.values - tv2.values).max())
+        rhs = discount * float(abs(v1.values - v2.values).max())
         rows.append(_row("contraction", seed, alpha, 0.0, lhs, rhs, lhs <= rhs + 1e-12))
     return rows
 
@@ -138,8 +136,7 @@ def run_operator_equivalence_trials(trials: int, seed0: int = 0) -> list[dict]:
     """Penalized-objective argmin (grid bracket plus parabolic vertex fit)
     against the closed-form iterate."""
     rows = []
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(seed0, seed0 + trials):
         rng = np.random.default_rng(seed)
         s = int(rng.integers(2, 12))
         a = int(rng.integers(1, 4))
@@ -151,7 +148,7 @@ def run_operator_equivalence_trials(trials: int, seed0: int = 0) -> list[dict]:
         v = tab.ValueTable(rng.normal(0.0, 5.0, size=s))
         via_operator = cons.csve_operator(v, policy, mdp, penalty)
         via_argmin = cons.csve_objective_argmin(v, policy, mdp, penalty, method="grid")
-        gap = float(np.max(np.abs(via_operator.values - via_argmin.values)))
+        gap = float(abs(via_operator.values - via_argmin.values).max())
         rows.append(_row("operator_equivalence", seed, penalty.alpha, 0.0, gap, 1e-9,
                          gap <= 1e-9))
     return rows
@@ -163,8 +160,7 @@ def run_lower_bound_d_trials(trials: int, seed0: int = 0, zero_error: bool = Fal
                              discount: float = 0.8) -> list[dict]:
     """Expected lower bound under the sampling distribution d."""
     rows = []
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(seed0, seed0 + trials):
         inst = make_instance(seed, num_states, num_actions, discount,
                              dataset_size, zero_error=zero_error)
         probe = cons.CsvePenaltyConfig(0.0, inst.d, inst.d_u)
@@ -187,8 +183,7 @@ def run_lower_bound_data_trials(trials: int, seed0: int = 0, alpha: float = 1.0,
                                 dataset_size: int = 500) -> list[dict]:
     """Lower bound under the data marginal plus the irreducible error term."""
     rows = []
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(seed0, seed0 + trials):
         inst = make_instance(seed, dataset_size=dataset_size)
         penalty = cons.CsvePenaltyConfig(alpha, inst.d, inst.d_u)
         report = cons.certify_lower_bound_under_data(inst.mdp, inst.empirical,
@@ -206,8 +201,7 @@ def run_gap_expansion_trials(trials: int, seed0: int = 0, k: int = 5,
     certification then holds for every positive alpha or for none, and the
     margin-guarded instances keep it on the positive side."""
     rows = []
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(seed0, seed0 + trials):
         inst = make_instance(seed)
         penalty = cons.CsvePenaltyConfig(alpha, inst.d, inst.d_u)
         report = cons.certify_gap_expansion(inst.mdp, inst.empirical, inst.policy,
@@ -220,25 +214,21 @@ def run_gap_expansion_trials(trials: int, seed0: int = 0, k: int = 5,
 def run_argmax_consistency_trials(trials: int, seed0: int = 0, num_states: int = 4,
                                   num_actions: int = 3, alpha: float = 1.0) -> list[dict]:
     """Exhaustive deterministic-policy argmax of the penalized objective against
-    the greedy policy of conservative value iteration."""
+    the greedy policy of conservative value iteration.  All A^S policies go
+    through one ``penalized_objectives`` call; a deterministic policy's P_pi
+    is ``P[states, actions]``, the one-hot einsum's bits."""
+    # every deterministic policy: policy c takes action (c // A**s) % A in state s
+    states = np.arange(num_states)
+    actions = np.arange(num_actions ** num_states)[:, None] // num_actions ** states % num_actions
     rows = []
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(seed0, seed0 + trials):
         rng = np.random.default_rng(seed)
         mdp = tab.random_mdp(num_states, num_actions, float(rng.uniform(0.5, 0.95)), rng)
         d_u = tab.StateDistribution(rng.dirichlet(np.ones(num_states)))
         d = tab.random_distribution(num_states, rng, support=d_u.support)
         penalty = cons.CsvePenaltyConfig(alpha, d, d_u)
-
-        best_value = -math.inf
-        for code in range(num_actions ** num_states):
-            probs = np.zeros((num_states, num_actions))
-            c = code
-            for s in range(num_states):
-                probs[s, c % num_actions] = 1.0
-                c //= num_actions
-            value = cons.penalized_objective(tab.PolicyTable(probs), mdp, penalty)
-            best_value = max(best_value, value)
+        best_value = float(cons.penalized_objectives(
+            mdp.transition[states, actions], mdp.reward[states, actions], mdp, penalty).max())
         _, greedy = cons.conservative_value_iteration(mdp, penalty)
         greedy_value = cons.penalized_objective(greedy, mdp, penalty)
         rows.append(_row("argmax_consistency", seed, alpha, 0.0, best_value,
@@ -254,8 +244,7 @@ def run_safe_improvement_trials(trials: int, seed0: int = 0,
     from .envs import GridWorld
 
     rows = []
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(seed0, seed0 + trials):
         rng = np.random.default_rng(seed)
         env = GridWorld(slip=float(rng.uniform(0.05, 0.2)))
         mdp = env.tabular_mdp(discount=0.95)
@@ -314,8 +303,7 @@ def run_interpolation_trials(trials: int, seed0: int = 0,
                              f_grid=(0.0, 0.25, 0.5, 0.75, 1.0)) -> list[dict]:
     """Nonnegativity of the interpolation functional over random pairs."""
     rows = []
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(seed0, seed0 + trials):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 16))
         rho = tab.StateDistribution(rng.dirichlet(np.ones(n)))

@@ -106,3 +106,70 @@ def minibatch_gather_fit(dataset, config, rng):
 def gather_fit():
     """The per-minibatch-gather ensemble fit that ``train_ensemble`` is checked against."""
     return minibatch_gather_fit
+
+
+def per_policy_penalized_objective(policy, empirical, penalty):
+    """The penalized objective of one policy as it was computed before the
+    stacked core: an einsum P_pi, one-system ``np.linalg.solve`` calls for
+    the values and the occupancy, and the two ddot scalar products."""
+    from csve import tabular as tab
+
+    g, rho = empirical.discount, empirical.initial_dist
+    p_pi = np.einsum("sa,sat->st", policy.probs, empirical.transition)
+    r_pi = np.sum(policy.probs * empirical.reward, axis=1)
+    v = np.linalg.solve(np.eye(len(rho)) - g * p_pi, r_pi)
+    occ = (1.0 - g) * np.linalg.solve(np.eye(len(rho)) - g * p_pi.T, rho)
+    occ = np.clip(occ, 0.0, None)
+    occupancy = tab.StateDistribution(occ / occ.sum())
+    j = float(rho @ v)
+    penalty_term = float(occupancy.probs @ penalty.bracket())
+    return j - penalty.alpha / (1.0 - g) * penalty_term
+
+
+def enumerated_objectives(mdp, penalty):
+    """The per-policy enumeration loop: every deterministic policy as its own
+    validated ``PolicyTable``, policy c taking action (c // A**s) % A in
+    state s, scored one at a time by ``per_policy_penalized_objective``."""
+    from csve import tabular as tab
+
+    num_states, num_actions = mdp.num_states, mdp.num_actions
+    values = []
+    for code in range(num_actions ** num_states):
+        probs = np.zeros((num_states, num_actions))
+        c = code
+        for s in range(num_states):
+            probs[s, c % num_actions] = 1.0
+            c //= num_actions
+        values.append(per_policy_penalized_objective(tab.PolicyTable(probs), mdp, penalty))
+    return np.array(values)
+
+
+def enumerated_argmax_rows(trials, seed0=0, num_states=4, num_actions=3, alpha=1.0):
+    """``theory.run_argmax_consistency_trials`` with the per-policy loop:
+    the best enumerated objective against the conservative-greedy policy's."""
+    from csve import conservative as cons
+    from csve import tabular as tab
+
+    rows = []
+    for seed in range(seed0, seed0 + trials):
+        rng = np.random.default_rng(seed)
+        mdp = tab.random_mdp(num_states, num_actions, float(rng.uniform(0.5, 0.95)), rng)
+        d_u = tab.StateDistribution(rng.dirichlet(np.ones(num_states)))
+        d = tab.random_distribution(num_states, rng, support=d_u.support)
+        penalty = cons.CsvePenaltyConfig(alpha, d, d_u)
+        best_value = -np.inf
+        for value in enumerated_objectives(mdp, penalty):
+            best_value = max(best_value, float(value))
+        _, greedy = cons.conservative_value_iteration(mdp, penalty)
+        greedy_value = per_policy_penalized_objective(greedy, mdp, penalty)
+        rows.append({"theorem": "argmax_consistency", "seed": seed, "alpha": alpha,
+                     "threshold": 0.0, "lhs": best_value, "rhs": greedy_value,
+                     "holds": best_value <= greedy_value + 1e-9})
+    return rows
+
+
+@pytest.fixture
+def enumeration():
+    """The per-policy objective, enumeration loop and argmax rows that the
+    stacked ``penalized_objectives`` path is checked against bit for bit."""
+    return per_policy_penalized_objective, enumerated_objectives, enumerated_argmax_rows

@@ -688,3 +688,107 @@ def test_timestamps_only_in_run_log(workspace):
     assert not re.search(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}", primary)
     assert re.search(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}",
                      (data_dir / "run.log").read_text())
+
+
+# ---------------------------------------------------------------------------
+# non-finite hyper-parameters
+# ---------------------------------------------------------------------------
+
+FLOAT_HPS = [name for name, kind in cli._HP_KINDS.items() if kind is float]
+
+
+@pytest.mark.parametrize("name", FLOAT_HPS)
+@pytest.mark.parametrize("source", ["flag", "config", "sweep"])
+def test_non_finite_hyper_parameter_is_one_line_config_error(workspace, tmp_path, capsys,
+                                                             name, source):
+    """``inf`` used to train to a divergence at step 1 (alpha_init, lr_critic,
+    lambda_explore) or to exit 0 (tau_budget, beta_awr, weight_clip)."""
+    _, data_dir, model_dir = workspace
+    if source == "flag":
+        argv = ["train", "--data", data_dir, "--" + name.replace("_", "-"), "inf"]
+    elif source == "config":
+        config = tmp_path / "hp.ini"
+        config.write_text(f"[train]\n{name} = inf\n")
+        argv = ["train", "--data", data_dir, "--config", config]
+    else:
+        argv = ["sweep", "--data", data_dir, "--model", model_dir, "--param", name,
+                "--values", "0.5,inf"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {name} must be finite, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-inf", "nan", "1e999"])
+def test_other_non_finite_floats_are_config_errors(workspace, tmp_path, capsys, value):
+    _, data_dir, _ = workspace
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", "--data", data_dir, f"--weight-clip={value}", "--out", out]) == 2
+    assert capsys.readouterr().err == (f"config error: weight_clip must be finite, "
+                                       f"got {float(value)}\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def theory_seeds(out):
+    return [line.split(",")[1] for line in read_lines(out / "theory.csv")[2:]]
+
+
+def test_main_builds_the_parser_once_and_reuses_it(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
+    for k in range(3):
+        assert run(["verify-theory", "--suite", "interpolation", "--trials", 1,
+                    "--out", tmp_path / str(k)]) == 0
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import csve.cli; print(csve.cli._PARSER)"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "None\n"
+
+
+def test_a_reused_parser_keeps_no_flag_from_the_previous_call(tmp_path):
+    suite = "argmax_consistency"
+    assert run(["verify-theory", "--suite", suite, "--trials", 3, "--seed", 5,
+                "--out", tmp_path / "a"]) == 0
+    assert run(["verify-theory", "--suite", suite, "--out", tmp_path / "b"]) == 0
+    assert theory_seeds(tmp_path / "a") == ["5", "6", "7"]
+    assert theory_seeds(tmp_path / "b") == [str(s) for s in
+                                            range(theory.DEFAULT_TRIALS[suite])]
+
+
+def test_a_config_section_does_not_reach_the_next_call(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[verify-theory]\nsuite = argmax_consistency\ntrials = 2\n")
+    assert run(["verify-theory", "--config", config, "--out", tmp_path / "a"]) == 0
+    assert theory_seeds(tmp_path / "a") == ["0", "1"]
+    assert run(["verify-theory", "--suite", "argmax_consistency", "--out",
+                tmp_path / "b"]) == 0
+    assert len(theory_seeds(tmp_path / "b")) == theory.DEFAULT_TRIALS["argmax_consistency"]
+
+
+def test_an_argparse_error_leaves_the_parser_usable(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["verify-theory", "--suite", "interpolation", "--bogus", 1,
+             "--out", tmp_path / "bad"])
+    assert exit_info.value.code == 2
+    with pytest.raises(SystemExit):
+        run(["verify-theory", "--trials", 2])  # --out is required
+    capsys.readouterr()
+    assert run(["verify-theory", "--suite", "interpolation", "--trials", 2,
+                "--out", tmp_path / "ok"]) == 0
+    assert theory_seeds(tmp_path / "ok") == ["0"] * 5 + ["1"] * 5
+    assert not (tmp_path / "bad").exists()

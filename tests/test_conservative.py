@@ -568,6 +568,49 @@ def test_argmax_consistency_on_enumerated_policies():
     assert all(r["holds"] for r in rows)
 
 
+def random_penalized_instance(seed, num_states, num_actions):
+    rng = np.random.default_rng(seed)
+    mdp = tab.random_mdp(num_states, num_actions, float(rng.uniform(0.3, 0.99)), rng)
+    d_u = tab.StateDistribution(rng.dirichlet(np.ones(num_states)))
+    d = tab.random_distribution(num_states, rng, support=d_u.support)
+    return mdp, cons.CsvePenaltyConfig(float(rng.uniform(0.0, 10.0)), d, d_u), rng
+
+
+@pytest.mark.parametrize("num_states, num_actions", [(1, 3), (2, 2), (3, 3), (4, 3),
+                                                     (5, 2), (3, 4), (9, 2)])
+def test_stacked_objectives_match_the_per_policy_enumeration_bit_for_bit(
+        enumeration, num_states, num_actions):
+    """Every deterministic policy through one ``penalized_objectives`` call,
+    its P_pi indexed as P[states, actions], against the per-policy loop of
+    validated one-hot tables, einsums and one-system solves."""
+    _, enumerated_objectives, _ = enumeration
+    states = np.arange(num_states)
+    actions = np.arange(num_actions ** num_states)[:, None] // num_actions ** states \
+        % num_actions
+    for seed in range(200 if num_states < 9 else 10):
+        mdp, penalty, _ = random_penalized_instance(seed, num_states, num_actions)
+        stacked = cons.penalized_objectives(mdp.transition[states, actions],
+                                            mdp.reward[states, actions], mdp, penalty)
+        assert stacked.tobytes() == enumerated_objectives(mdp, penalty).tobytes(), seed
+
+
+def test_argmax_consistency_rows_match_the_per_policy_loop_at_seeds_0_to_399(enumeration):
+    _, _, enumerated_argmax_rows = enumeration
+    assert theory.run_argmax_consistency_trials(400) == enumerated_argmax_rows(400)
+
+
+@pytest.mark.parametrize("num_states, num_actions", [(2, 2), (4, 3), (8, 3), (13, 5)])
+def test_stochastic_policy_through_the_stack_of_one_keeps_its_value(
+        enumeration, num_states, num_actions):
+    per_policy_objective, _, _ = enumeration
+    for seed in range(50):
+        mdp, penalty, rng = random_penalized_instance(seed, num_states, num_actions)
+        policy = tab.random_policy(num_states, num_actions, rng)
+        value = cons.penalized_objective(policy, mdp, penalty)
+        assert type(value) is float
+        assert value == per_policy_objective(policy, mdp, penalty), seed
+
+
 def test_safe_improvement_identical_policies():
     inst = theory.make_instance(4)
     behavior = tab.random_policy(inst.mdp.num_states, inst.mdp.num_actions,

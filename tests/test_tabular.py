@@ -138,6 +138,41 @@ def test_a_solve_off_its_system_raises_numeric_error(monkeypatch):
         tab.exact_policy_evaluation(mdp, policy)
 
 
+@pytest.mark.parametrize("num_states", [1, 3, 8, 20])
+def test_a_stacked_solve_equals_per_system_solves_bit_for_bit(num_states):
+    rng = np.random.default_rng(num_states)
+    p_pi = rng.dirichlet(np.ones(num_states), size=(3, 4, num_states))
+    r_pi = rng.uniform(-5.0, 5.0, size=(3, 4, num_states))
+    stacked = tab.solve_policy_values(p_pi, r_pi, 0.9)
+    assert stacked.shape == (3, 4, num_states)
+    for i, j in np.ndindex(3, 4):
+        single = tab.solve_policy_values(p_pi[i, j], r_pi[i, j], 0.9)
+        assert stacked[i, j].tobytes() == single.tobytes()
+        assert single.tobytes() == np.linalg.solve(np.eye(num_states) - 0.9 * p_pi[i, j],
+                                                   r_pi[i, j]).tobytes()
+
+
+def test_stacked_occupancies_equal_each_policys_occupancy_bit_for_bit():
+    rng = np.random.default_rng(6)
+    mdp = tab.random_mdp(6, 3, 0.85, rng)
+    policies = [tab.random_policy(6, 3, rng) for _ in range(5)]
+    stacked = tab.discounted_occupancies(
+        np.stack([tab.policy_transition_matrix(mdp, pi) for pi in policies]),
+        mdp.initial_dist, mdp.discount)
+    for row, policy in zip(stacked, policies):
+        assert row.tobytes() == tab.discounted_state_occupancy(mdp, policy).probs.tobytes()
+
+
+@pytest.mark.parametrize("ill_posed", ["singular", "nan"])
+def test_a_stack_holding_one_ill_posed_system_raises_numeric_error(ill_posed):
+    rng = np.random.default_rng(7)
+    p_pi = rng.dirichlet(np.ones(4), size=(5, 4))
+    p_pi[3] = 2.0 * np.eye(4) if ill_posed == "singular" else np.nan  # I - 0.5 * 2I = 0
+    with pytest.raises(NumericError, match="linear solve"):
+        tab.solve_policy_values(p_pi, rng.uniform(size=(5, 4)), 0.5)
+    tab.solve_policy_values(np.delete(p_pi, 3, axis=0), rng.uniform(size=(4, 4)), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # policy_iteration against the value-iteration oracle, and the gridworld chain
 # ---------------------------------------------------------------------------

@@ -95,3 +95,45 @@ def test_compare_refuses_an_empty_hash_seed_before_any_run(tmp_path, capsys, see
     assert exit_info.value.code == 2
     assert "--hash-seeds must be comma-separated integers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_claim_met_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_base_iqr():
+    compare = load_tool("compare")
+    base = [10.0 + 0.2 * k for k in range(10)]  # median 10.9, quartiles 10.45 and 11.35
+    faster = [b - 2.0 for b in base]
+    assert compare.claim_met(base, faster, lower=True)
+    assert not compare.claim_met(base, faster, lower=False)  # the gain is the wrong way
+    assert compare.claim_met(faster, base, lower=False)
+    # every pair won, but the medians differ by 0.5, inside the base IQR of 0.9
+    assert not compare.claim_met(base, [b - 0.5 for b in base], lower=True)
+    # a tie counts for neither side: 9 of 10 wins still claims, 8 of 10 does not
+    assert compare.claim_met(base, [base[0], *faster[1:]], lower=True)
+    assert not compare.claim_met(base, [*base[:2], *faster[2:]], lower=True)
+    assert not compare.claim_met(base, [base[0] + 1.0, base[1] + 1.0, *faster[2:]],
+                                 lower=True)
+    # 11 of 12 pairs is at least nine tenths, 10 of 12 is not
+    base12 = base + [12.0, 12.2]
+    assert compare.claim_met(base12, [base12[0], *[b - 2.0 for b in base12[1:]]], lower=True)
+    assert not compare.claim_met(base12, [*base12[:2], *[b - 2.0 for b in base12[2:]]],
+                                 lower=True)
+
+
+def test_compare_summary_records_claim_met_for_each_metric():
+    compare = load_tool("compare")
+    pairs = [{"base": {"metrics": {"t": 10.0 + k, "r": 1.0}},
+              "head": {"metrics": {"t": 5.0 + k, "r": 1.0}}} for k in range(10)]
+    specs = [{"name": "t", "unit": "s", "better": "lower"},
+             {"name": "r", "unit": "1/s", "better": "higher"}]
+    summary = compare.summarize(pairs, specs)
+    assert summary["t"]["claim_met"] is True and summary["r"]["claim_met"] is False
+
+
+def test_compare_refuses_a_negative_first_seed_before_any_run(tmp_path, capsys):
+    compare = load_tool("compare")
+    out = tmp_path / "record.json"
+    with pytest.raises(SystemExit) as exit_info:
+        compare.main(["--base", "HEAD", "--workload", "certify", "--pairs", "1",
+                      "--out", str(out), "--first-seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "--first-seed must be at least 0" in capsys.readouterr().err
+    assert not out.exists()

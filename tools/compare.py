@@ -7,14 +7,16 @@ The base revision's committed files are unpacked with ``git archive`` into
 a temporary directory (under ``$TMPDIR``), removed at exit.  Each pair runs
 ``bench/run.py`` once in the base copy and once in this checkout, each side
 with its own ``bench/`` and ``src/``, for the run length ``BENCHMARK.json``
-sets and at the same seed, the pair's index; even pairs run the base first,
-odd pairs this checkout first.
+sets and at the same seed, ``--first-seed`` (default 0) plus the pair's
+index; even pairs run the base first, odd pairs this checkout first.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the median of the paired ratios head/base with a
 bootstrap 95% interval (the pairs resampled 2,000 times), the share of pairs
-the head won (strictly better in the metric's direction) and whether the
-medians differ by more than the base's interquartile range.  With
+the head won (strictly better in the metric's direction), whether the
+medians differ by more than the base's interquartile range, and whether a
+gain may be claimed (``claim_met``: the head won at least nine tenths of the
+pairs and its median is better by more than that range).  With
 ``--hash-seeds``, it then runs ``tools/output_hashes.py --seed s`` in both
 checkouts for each listed seed and records the paths whose md5 differ.
 Last, it runs one traced run (``--trace 1``, seed 0) per side and prints
@@ -124,6 +126,17 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def claim_met(base, head, lower: bool) -> bool:
+    """The choosing-metrics rule for claiming a gain from paired runs: the
+    head wins at least nine tenths of all pairs (a tie counts for neither
+    side), and its median beats the base median by more than the base's
+    interquartile range."""
+    won = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
+    (b_q1, b_median, b_q3), h_median = quartiles(base), quartiles(head)[1]
+    gap = b_median - h_median if lower else h_median - b_median
+    return 10 * won >= 9 * len(base) and gap > b_q3 - b_q1
+
+
 def summarize(pairs, end_to_end) -> dict:
     summary = {}
     for spec in end_to_end:
@@ -140,6 +153,7 @@ def summarize(pairs, end_to_end) -> dict:
             "median_ratio_ci95": list(bootstrap_interval(ratios)),
             "head_won": won, "pairs": len(pairs),
             "median_gap_exceeds_base_iqr": abs(h_q[1] - b_q[1]) > b_q[2] - b_q[0],
+            "claim_met": claim_met(base, head, lower),
         }
     return summary
 
@@ -150,11 +164,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--first-seed", type=int, default=0,
+                        help="benchmark seed of the first pair; pair i runs at this plus i")
     parser.add_argument("--hash-seeds", default="", metavar="S,S",
                         help="seeds to run tools/output_hashes.py at on both sides")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.first_seed < 0:
+        parser.error("--first-seed must be at least 0")
     try:
         hash_seeds = [int(s) for s in args.hash_seeds.split(",")] if args.hash_seeds else []
     except ValueError:
@@ -180,11 +198,12 @@ def main(argv=None) -> int:
         try:
             for i in range(args.pairs):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                pair = {"seed": i, "first": order[0]}
+                seed = args.first_seed + i
+                pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_side(sides[side], args.workload, i, seconds)
+                    pair[side] = run_side(sides[side], args.workload, seed, seconds)
                 pairs.append(pair)
-                print(f"pair {i + 1}/{args.pairs} seed {i} ({order[0]} first): "
+                print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
                       + ", ".join(f"{s} wall_s {pair[s]['metrics']['wall_s']:.3f}"
                                   for s in ("base", "head")), flush=True)
             rejected = rejected_runs(pairs)
@@ -214,7 +233,8 @@ def main(argv=None) -> int:
               + f"median ratio {s['median_paired_ratio']:.4f} "
               + "[95% CI {:.4f}, {:.4f}], ".format(*s["median_ratio_ci95"])
               + f"head won {s['head_won']}/{s['pairs']}, "
-              f"median gap exceeds base IQR: {s['median_gap_exceeds_base_iqr']}")
+              f"median gap exceeds base IQR: {s['median_gap_exceeds_base_iqr']}, "
+              f"claim met: {s['claim_met']}")
     for side in ("base", "head"):
         failed = sum(p[side]["failed"] for p in pairs)
         print(f"{side}: {failed} failed of {sum(p[side]['attempted'] for p in pairs)} stages")

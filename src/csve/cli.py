@@ -2,9 +2,12 @@
 evaluation, theory certification and hyper-parameter sweeps.
 
 Subcommands: gen-data, train-dynamics, train, eval, verify-theory, sweep.
-Common flags: --config PATH (INI file with one section per command; explicit
-flags win), --seed N, --out DIR.  Exit codes: 0 success, 2 configuration
-error, 3 training divergence, 4 I/O failure.
+Every value a command takes, --seed N included, is declared once in
+``build_parser``'s table and resolves by one rule: its flag, else its entry
+in the command's section of the --config INI file, else its default.  Flags
+and entries pass the same checks, and an entry the command does not declare
+is an error.  --config PATH and --out DIR are flag-only.  Exit codes: 0
+success, 2 configuration error, 3 training divergence, 4 I/O failure.
 
 Primary outputs (CSVs, binary checkpoints, meta JSON) are byte-identical
 across reruns with the same inputs and seed; wall-clock timestamps go only
@@ -20,6 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,63 +82,67 @@ def _load_config_section(path: str | None, section: str) -> dict:
                           f"{' '.join(str(err).split())}") from None
 
 
-def _coerce(raw: str, kind, item=int):
-    """``raw`` as a ``kind``; a tuple holds comma-separated ``item``s, none empty."""
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(source: str, raw: str, kind, item=int):
+    """``raw`` as a ``kind``; a tuple holds comma-separated ``item``s, none
+    empty.  A ConfigError names ``source``, a flag or a config entry."""
     try:
         if kind is tuple:
             items = raw.split(",")
             if not all(x.strip() for x in items):
-                raise ConfigError(f"expected comma-separated values, none empty, got {raw!r}")
-            return tuple(_coerce(x, item) for x in items)
-        return kind(raw)
+                raise ValueError(f"expected comma-separated values, none empty, got {raw!r}")
+            return tuple(item(x) for x in items)
+        if kind is bool and raw.strip().lower() not in _BOOLS:
+            raise ValueError(f"expected a boolean, got {raw!r}")
+        return _BOOLS[raw.strip().lower()] if kind is bool else kind(raw)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
-def _at_least_one(value: int, name: str) -> int:
-    if value < 1:
-        raise ConfigError(f"--{name} must be at least 1, got {value}")
-    return value
-
-
-def resolve(args: argparse.Namespace, name: str, kind, default):
-    """Flag > entry of the command's config section (``args.conf``) >
-    default.  A flag or entry is coerced to ``kind``; a bad one raises
-    ConfigError naming it."""
-    raw, source = getattr(args, name, None), "--" + name.replace("_", "-")
-    if raw is None:
-        if name not in args.conf:
-            return default
-        raw, source = args.conf[name], f"config entry {name}"
-    try:
-        return _coerce(raw, kind)
-    except ConfigError as err:
         raise ConfigError(f"{source}: {err}") from None
 
 
-# Every hyper-parameter is a flag and a config key of its default's type.
-_HP_KINDS = {f.name: type(f.default) for f in dataclasses.fields(agent.CsveHyperParams)}
+REQUIRED = object()  # the default of a value a command cannot run without
+
+
+class Value(NamedTuple):
+    """One value a command takes: the flag ``--<name>`` (underscores as
+    dashes) or the entry ``<name>`` of the command's config section."""
+
+    kind: type = str            # bool, int, float, str, or tuple of ints
+    default: object = None      # or REQUIRED
+    choices: tuple = ()
+    at_least: int | None = None
+    metavar: str | None = None  # --help's; None derives it from kind and choices
+
+
+def resolve(args: argparse.Namespace, conf: dict, name: str, value: Value):
+    """Flag > entry of the command's config section ``conf`` > default.  A
+    flag or entry is coerced to ``value.kind`` and checked against
+    ``value.choices`` and ``value.at_least``; each failure is a ConfigError."""
+    raw, source = getattr(args, name), "--" + name.replace("_", "-")
+    if raw is None:
+        if name not in conf:
+            if value.default is REQUIRED:
+                raise ConfigError(f"{args.command} needs {source} or a config entry {name}")
+            return value.default
+        raw, source = conf[name], f"config entry {name}"
+    args.sources[name] = source
+    result = _coerce(source, raw, value.kind)
+    if value.choices and result not in value.choices:
+        raise ConfigError(f"{name} must be one of {', '.join(value.choices)}, got {result!r}")
+    if value.at_least is not None and result < value.at_least:
+        raise ConfigError(f"{name} must be at least {value.at_least}, got {result}")
+    return result
+
+
+# Every hyper-parameter is a value of train and sweep, of its default's type.
+_HP_DEFAULTS = agent.CsveHyperParams()
+_HP_KINDS = {name: type(default) for name, default in vars(_HP_DEFAULTS).items()}
 
 
 def _hyper_params(args) -> agent.CsveHyperParams:
-    return agent.CsveHyperParams(**{name: resolve(args, name, kind, getattr(_HP_DEFAULTS, name))
-                                    for name, kind in _HP_KINDS.items()})
-
-
-_HP_DEFAULTS = agent.CsveHyperParams()
-
-
-def _add_hp_flags(parser: argparse.ArgumentParser) -> None:
-    for name, kind in _HP_KINDS.items():
-        parser.add_argument("--" + name.replace("_", "-"), default=None,
-                            metavar={bool: "BOOL", tuple: "N,N"}.get(kind))
+    return agent.CsveHyperParams(**{name: getattr(args, name) for name in _HP_KINDS})
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +150,10 @@ def _add_hp_flags(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    env_name = resolve(args, "env", str, None)
-    tier = resolve(args, "tier", str, None)
-    size = resolve(args, "size", int, 10_000)
-    if env_name is None or tier is None:
-        raise ConfigError("gen-data needs --env and --tier")
-    env = envs.make_env(env_name)
-    dataset = data.generate_dataset(env, tier, size, args.seed)
+    dataset = data.generate_dataset(envs.make_env(args.env), args.tier, args.size, args.seed)
     out = Path(args.out)
     data.save_dataset(dataset, out)
-    _log(out, f"gen-data env={env_name} tier={tier} size={size} seed={args.seed}")
+    _log(out, f"gen-data env={args.env} tier={args.tier} size={args.size} seed={args.seed}")
     print(json.dumps({k: dataset.meta[k] for k in
                       ("env", "tier", "size", "seed", "behavior_return_mean",
                        "random_return_mean", "expert_return_mean")}, indent=2))
@@ -159,15 +161,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_dynamics(args) -> int:
-    data_dir = resolve(args, "data", str, None)
-    if data_dir is None:
-        raise ConfigError("train-dynamics needs --data")
-    members = resolve(args, "members", int, 5)
-    hidden = resolve(args, "hidden_sizes", tuple, (64, 64))
-    max_epochs = resolve(args, "max_epochs", int, 200)
-    dataset = data.load_dataset(data_dir)
-    config = dynamics.EnsembleConfig(num_members=members, hidden_sizes=hidden,
-                                     max_epochs=max_epochs)
+    dataset = data.load_dataset(args.data)
+    config = dynamics.EnsembleConfig(num_members=args.members, hidden_sizes=args.hidden_sizes,
+                                     max_epochs=args.max_epochs)
     rng = np.random.default_rng(args.seed)
     model = dynamics.train_ensemble(dataset, config, rng)
     out = Path(args.out)
@@ -182,8 +178,8 @@ def cmd_train_dynamics(args) -> int:
     write_csv(out / "nll_history.csv", ("member", "epoch", "train_nll", "holdout_nll"),
               rows)
     report = dynamics.model_error_report(model, dataset)
-    _log(out, f"train-dynamics data={data_dir} members={members} seed={args.seed}")
-    print(f"trained {members} members; in-sample mean L2 {report.mean_l2:.6f}, "
+    _log(out, f"train-dynamics data={args.data} members={args.members} seed={args.seed}")
+    print(f"trained {args.members} members; in-sample mean L2 {report.mean_l2:.6f}, "
           f"disagreement {report.disagreement:.6f}")
     return 0
 
@@ -215,19 +211,11 @@ def _final_score(dataset, rows):
 
 
 def cmd_train(args) -> int:
-    data_dir = resolve(args, "data", str, None)
-    if data_dir is None:
-        raise ConfigError("train needs --data")
-    model_dir = resolve(args, "model", str, None)
-    algorithm = resolve(args, "algorithm", str, "csve")
-    if algorithm not in agent.ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
     hp = _hyper_params(args)
-    no_eval = resolve(args, "no_eval", bool, False)
     out = Path(args.out)
-    dataset, rows = _run_training(data_dir, model_dir, algorithm, hp, args.seed,
-                                  out, evaluate=not no_eval)
-    _log(out, f"train algorithm={algorithm} data={data_dir} seed={args.seed} "
+    dataset, rows = _run_training(args.data, args.model, args.algorithm, hp, args.seed,
+                                  out, evaluate=not args.no_eval)
+    _log(out, f"train algorithm={args.algorithm} data={args.data} seed={args.seed} "
               f"steps={hp.total_steps}")
     score = _final_score(dataset, rows)
     if score is not None:
@@ -237,13 +225,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    data_dir = resolve(args, "data", str, None)
-    if data_dir is None:
-        raise ConfigError("eval needs --data for the environment and anchors")
-    checkpoint = resolve(args, "checkpoint", str, None)
-    scripted = resolve(args, "scripted", str, None)
-    episodes = _at_least_one(resolve(args, "episodes", int, 10), "episodes")
-    if (checkpoint is None) == (scripted is None):
+    data_dir, checkpoint = args.data, args.checkpoint
+    if (checkpoint is None) == (args.scripted is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --scripted")
     dataset = data.load_dataset(data_dir, ("env", *data.ANCHOR_KEYS))
     env = envs.make_env(dataset.meta["env"])
@@ -259,9 +242,9 @@ def cmd_eval(args) -> int:
         def policy(state, _rng):
             return agent.deterministic_action(bundle, state)
     else:
-        policy = envs.scripted_policy(env, scripted)
+        policy = envs.scripted_policy(env, args.scripted)
     rng = np.random.default_rng(args.seed)
-    returns = envs.evaluate_policy(env, policy, episodes, rng)
+    returns = envs.evaluate_policy(env, policy, args.episodes, rng)
     rows = []
     for episode, raw in enumerate(returns):
         rows.append({
@@ -274,7 +257,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "eval.csv", ("episode", "return_raw", "score_normalized"), rows)
-    _log(out, f"eval episodes={episodes} seed={args.seed}")
+    _log(out, f"eval episodes={args.episodes} seed={args.seed}")
     scores = np.array([r["score_normalized"] for r in rows])
     print(f"return {returns.mean():.3f} +/- {returns.std():.3f}; "
           f"normalized {scores.mean():.2f} +/- {scores.std():.2f}")
@@ -282,25 +265,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    suite = resolve(args, "suite", str, "all")
-    trials = resolve(args, "trials", int, 0)
-    if trials < 0:
-        raise ConfigError(f"--trials must be at least 0 (0 runs each suite's default), "
-                          f"got {trials}")
-    names = list(theory.SUITES) if suite == "all" else [suite]
-    for name in names:
-        if name not in theory.SUITES:
-            raise ConfigError(f"unknown suite {name!r}; choose from "
-                              f"{', '.join(theory.SUITES)} or all")
-    rows_by_suite = {}
-    for name in names:
-        count = trials if trials > 0 else theory.DEFAULT_TRIALS[name]
-        rows_by_suite[name] = theory.SUITES[name](count, args.seed)
+    names = list(theory.SUITES) if args.suite == "all" else [args.suite]
+    rows_by_suite = {name: theory.SUITES[name](args.trials or theory.DEFAULT_TRIALS[name],
+                                               args.seed)
+                     for name in names}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "theory.csv", THEORY_COLUMNS,
               [row for rows in rows_by_suite.values() for row in rows])
-    _log(out, f"verify-theory suite={suite} seed={args.seed}")
+    _log(out, f"verify-theory suite={args.suite} seed={args.seed}")
     for name, rate in theory.summarize(rows_by_suite).items():
         print(f"{name}: pass rate {rate:.3f}")
     return 0
@@ -339,25 +312,17 @@ def _sweep_point(payload):
 
 
 def cmd_sweep(args) -> int:
-    data_dir = resolve(args, "data", str, None)
-    param = resolve(args, "param", str, None)
-    values_raw = resolve(args, "values", str, None)
-    if data_dir is None or param is None or values_raw is None:
-        raise ConfigError("sweep needs --data, --param and --values")
+    data_dir, model_dir, param = args.data, args.model, args.param
     kind = float if param == "model_frac" else _HP_KINDS.get(param)
     if kind not in (int, float):
         raise ConfigError(f"sweep parameter {param!r} is not a numeric hyper-parameter "
                           f"or model_frac")
-    model_dir = resolve(args, "model", str, None)
-    algorithm = resolve(args, "algorithm", str, "csve")
-    n_seeds = _at_least_one(resolve(args, "seeds", int, 3), "seeds")
-    workers = _at_least_one(resolve(args, "workers", int, 1), "workers")
     hp = _hyper_params(args)
-    values = resolve(args, "values", lambda raw: _coerce(raw, tuple, kind), None)
+    values = _coerce(args.sources["values"], args.values, tuple, kind)
     names = [f"{param}={value:g}" for value in values]
     for name in names:
         if names.count(name) > 1:
-            raise ConfigError(f"sweep values {values_raw} give two points the run name {name}")
+            raise ConfigError(f"sweep values {args.values} give two points the run name {name}")
     # every point's settings are checked before any point runs
     point_hps = [hp if param == "model_frac" else dataclasses.replace(hp, **{param: value})
                  for value in values]
@@ -370,14 +335,14 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     payloads = []
     for value, point_hp, name in zip(values, point_hps, names):
-        for k in range(n_seeds):
+        for k in range(args.seeds):
             seed = args.seed + k
             run_dir = out / "runs" / f"{name}_seed{seed}"
-            payloads.append((data_dir, model_dir, algorithm, point_hp, param, value,
+            payloads.append((data_dir, model_dir, args.algorithm, point_hp, param, value,
                              seed, str(run_dir), model_error))
-    if workers > 1:
+    if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweep loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:
         results = [_sweep_point(p) for p in payloads]
@@ -409,7 +374,7 @@ def cmd_sweep(args) -> int:
                          "mean_score": None, "mean_loss_pi": None, "runs": len(pairs)})
     write_csv(out / "sweep_summary.csv",
               ("param", "value", "mean_score", "mean_loss_pi", "runs"), summary_rows)
-    _log(out, f"sweep param={param} values={values_raw} seeds={n_seeds}")
+    _log(out, f"sweep param={param} values={args.values} seeds={args.seeds}")
     for row in summary_rows:
         print(row)
     return 0
@@ -419,35 +384,51 @@ def cmd_sweep(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _add_flags(parser: argparse.ArgumentParser, values: dict) -> None:
+    for name, value in values.items():
+        choices = "{" + ",".join(value.choices) + "}" if value.choices else None
+        parser.add_argument("--" + name.replace("_", "-"), default=None, metavar=(
+            value.metavar or {bool: "BOOL", tuple: "N,N"}.get(value.kind, choices)))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, and the one declaration of every value each command takes
+    besides the flag-only --config and --out; ``main`` resolves them."""
     parser = argparse.ArgumentParser(prog="csve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {  # name: help, handler, own flags (value: choices); train and sweep add _HP_KINDS
+    path, needed, algorithm = Value(), Value(str, REQUIRED), Value(str, "csve", agent.ALGORITHMS)
+    hps = {name: Value(type(default), default) for name, default in vars(_HP_DEFAULTS).items()}
+    commands = {  # name: help, handler, values after --seed in --help order
         "gen-data": ("generate a tiered offline dataset", cmd_gen_data,
-                     {"env": envs.ENV_NAMES, "tier": data.DATASET_TIERS, "size": None}),
+                     {"env": Value(str, REQUIRED, envs.ENV_NAMES),
+                      "tier": Value(str, REQUIRED, data.DATASET_TIERS), "size": Value(int, 10_000)}),
         "train-dynamics": ("fit the ensemble dynamics model", cmd_train_dynamics,
-                           dict.fromkeys(("data", "members", "hidden-sizes", "max-epochs"))),
+                           {"data": needed, "members": Value(int, 5),
+                            "hidden_sizes": Value(tuple, (64, 64)),
+                            "max_epochs": Value(int, 200)}),
         "train": ("train an offline agent", cmd_train,
-                  {"data": None, "model": None, "algorithm": agent.ALGORITHMS, "no-eval": None}),
+                  {"data": needed, "model": path, "algorithm": algorithm,
+                   "no_eval": Value(bool, False), **hps}),
         "eval": ("evaluate a checkpoint or scripted policy", cmd_eval,
-                 {"data": None, "checkpoint": None, "scripted": envs.TIERS, "episodes": None}),
+                 {"data": needed, "checkpoint": path, "scripted": Value(str, None, envs.TIERS),
+                  "episodes": Value(int, 10, at_least=1)}),
         "verify-theory": ("run the certification suites", cmd_verify_theory,
-                          dict.fromkeys(("suite", "trials"))),
+                          {"suite": Value(str, "all", (*theory.SUITES, "all"), metavar="SUITE"),
+                           "trials": Value(int, 0, at_least=0)}),  # 0: each suite's default
         "sweep": ("grid sweep over one parameter", cmd_sweep,
-                  {"data": None, "model": None, "algorithm": agent.ALGORITHMS,
-                   **dict.fromkeys(("param", "values", "seeds", "workers"))}),
+                  {"data": needed, "model": path, "algorithm": algorithm,
+                   "param": needed, "values": needed,
+                   "seeds": Value(int, 3, at_least=1), "workers": Value(int, 1, at_least=1),
+                   **hps}),
     }
-    for name, (text, func, flags) in commands.items():
+    seed = {"seed": Value(int, 0, at_least=0)}
+    for name, (text, func, values) in commands.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=0)
+        _add_flags(p, seed)
         p.add_argument("--out", required=True, help="output directory")
-        for flag, choices in flags.items():
-            p.add_argument("--" + flag, choices=choices, default=None,
-                           metavar={"hidden-sizes": "N,N", "no-eval": "BOOL"}.get(flag))
-        if name in ("train", "sweep"):
-            _add_hp_flags(p)
-        p.set_defaults(func=func)
+        _add_flags(p, values)
+        p.set_defaults(func=func, declared={**seed, **values})
     return parser
 
 
@@ -460,9 +441,13 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
-        args.conf = _load_config_section(args.config, args.command)
+        conf = _load_config_section(args.config, args.command)
+        for key in conf:
+            if key not in args.declared:
+                raise ConfigError(f"unknown config entry {key!r} in section [{args.command}]")
+        args.sources = {}
+        for name, value in args.declared.items():
+            setattr(args, name, resolve(args, conf, name, value))
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

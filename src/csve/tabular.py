@@ -180,6 +180,20 @@ class SamplingErrorModel:
             raise InputError("unvisited_count_floor must be positive")
 
 
+def _pair_counts(states, actions, next_states, num_states: int, num_actions: int):
+    """(S, A) visit counts of the pairs, once every state and next state is
+    in [0, S) and every action in [0, A): ``np.add.at`` would fail on an
+    index past the end and wrap a negative one."""
+    for name, index, bound in (("state", states, num_states), ("action", actions, num_actions),
+                               ("next state", next_states, num_states)):
+        if index.size and (index.min() < 0 or index.max() >= bound):
+            raise InputError(f"{name} indices run from {index.min()} to {index.max()}, "
+                             f"outside [0, {bound})")
+    count_sa = np.zeros((num_states, num_actions), dtype=np.int64)
+    np.add.at(count_sa, (states, actions), 1)
+    return count_sa
+
+
 @dataclass(frozen=True)
 class TabularDataset:
     """Offline transitions with per-pair visit counts."""
@@ -204,8 +218,7 @@ class TabularDataset:
                 raise InputError("transition arrays must share one length")
         if (self.count_sa < 0).any():
             raise InputError("counts must be nonnegative")
-        recount = np.zeros_like(self.count_sa)
-        np.add.at(recount, (self.states, self.actions), 1)
+        recount = _pair_counts(self.states, self.actions, self.next_states, *self.count_sa.shape)
         if not np.array_equal(recount, self.count_sa):
             raise InputError("count_sa disagrees with the stored transitions")
         if not np.array_equal(self.count_sa.sum(axis=1), self.count_s):
@@ -223,20 +236,14 @@ class TabularDataset:
         s = s.astype(np.int64)
         a = a.astype(np.int64)
         sn = sn.astype(np.int64)
-        if rows and (
-            s.min() < 0 or s.max() >= num_states
-            or sn.min() < 0 or sn.max() >= num_states
-            or a.min() < 0 or a.max() >= num_actions
-        ):
-            raise InputError("transition indices out of range")
         return cls.from_arrays(s, a, np.asarray(r, dtype=np.float64), sn, num_states, num_actions)
 
     @classmethod
     def from_arrays(cls, states, actions, rewards, next_states, num_states: int,
                     num_actions: int) -> "TabularDataset":
-        """Build a dataset from in-range transition arrays, counting each pair."""
-        count_sa = np.zeros((num_states, num_actions), dtype=np.int64)
-        np.add.at(count_sa, (states, actions), 1)
+        """Build a dataset from transition arrays, counting each pair."""
+        count_sa = _pair_counts(np.asarray(states), np.asarray(actions),
+                                np.asarray(next_states), num_states, num_actions)
         return cls(states, actions, rewards, next_states, count_sa, count_sa.sum(axis=1))
 
     @property
@@ -345,8 +352,6 @@ def empirical_mdp(dataset: TabularDataset, template: TabularMdp) -> TabularMdp:
     s_dim, a_dim = template.num_states, template.num_actions
     if dataset.count_sa.shape != (s_dim, a_dim):
         raise InputError("dataset dimensions disagree with the template MDP")
-    if dataset.num_transitions and dataset.next_states.max() >= s_dim:
-        raise InputError("dataset next-state index out of range")
     reward_sum = np.zeros((s_dim, a_dim))
     np.add.at(reward_sum, (dataset.states, dataset.actions), dataset.rewards)
     trans_count = np.zeros((s_dim, a_dim, s_dim))

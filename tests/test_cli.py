@@ -507,7 +507,7 @@ def test_counts_below_one_are_config_errors(workspace, tmp_path, capsys, command
     capsys.readouterr()
     assert run([*argv, flag, value, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: {flag} must be at least 1, got {value}\n"
+    assert err == f"config error: {flag[2:]} must be at least 1, got {value}\n"
     assert not out.exists()
 
 
@@ -574,7 +574,7 @@ def test_negative_seed_is_one_line_config_error(tmp_path, capsys, command):
     out = tmp_path / "out"
     capsys.readouterr()
     assert run([command, "--seed", -1, "--out", out]) == 2
-    assert capsys.readouterr().err == "config error: --seed must be at least 0, got -1\n"
+    assert capsys.readouterr().err == "config error: seed must be at least 0, got -1\n"
     assert not out.exists()
 
 
@@ -670,7 +670,7 @@ def test_verify_theory_negative_trials_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify-theory", "--suite", "contraction", "--trials", -1, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: --trials must be at least 0") and err.count("\n") == 1
+    assert err == "config error: trials must be at least 0, got -1\n"
     assert not out.exists()
 
 
@@ -792,3 +792,165 @@ def test_an_argparse_error_leaves_the_parser_usable(tmp_path, capsys):
                 "--out", tmp_path / "ok"]) == 0
     assert theory_seeds(tmp_path / "ok") == ["0"] * 5 + ["1"] * 5
     assert not (tmp_path / "bad").exists()
+
+
+# ---------------------------------------------------------------------------
+# one rule for flags and config entries
+# ---------------------------------------------------------------------------
+
+COMMANDS = ("gen-data", "train-dynamics", "train", "eval", "verify-theory", "sweep")
+# command -> {name: Value}, as ``build_parser`` declares them
+DECLARED = {command: cli.build_parser().parse_args([command, "--out", "x"]).declared
+            for command in COMMANDS}
+
+
+def samples(value):
+    """Two (raw, parsed) settings of ``value``: the first differs from its
+    default, the second from the first."""
+    if value.choices:
+        picks = [c for c in value.choices if c != value.default]
+        return (picks[0], picks[0]), (picks[1], picks[1])
+    if value.kind is bool:
+        return (str(not value.default), not value.default), (str(value.default), value.default)
+    if value.kind in (int, float):
+        first, second = value.default + value.kind(1), value.default + value.kind(2)
+        return (repr(first), first), (repr(second), second)
+    if value.kind is tuple:
+        return ("3,4", (3, 4)), ("5", (5,))
+    return ("from-entry", "from-entry"), ("from-flag", "from-flag")
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def required_flags(command, but):
+    """Flags for every value ``command`` cannot run without, except ``but``."""
+    return [arg for name, value in DECLARED[command].items()
+            if value.default is cli.REQUIRED and name != but
+            for arg in (flag(name), samples(value)[0][0])]
+
+
+def resolved(monkeypatch, command, argv):
+    """The namespace ``main`` hands ``command``'s handler, which does not run."""
+    seen = []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(args) or 0)
+    assert run([command, *argv]) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("command, name", [(command, name) for command, values in
+                                           DECLARED.items() for name in values])
+def test_every_value_resolves_flag_over_entry_over_default(tmp_path, monkeypatch, capsys,
+                                                          command, name):
+    value = DECLARED[command][name]
+    (entry_raw, entry), (flag_raw, flag_value) = samples(value)
+    others = required_flags(command, name)
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{command}]\n{name} = {entry_raw}\n")
+    out = ["--out", tmp_path / "out"]
+    assert getattr(resolved(monkeypatch, command, [*others, "--config", config, *out]),
+                   name) == entry
+    assert getattr(resolved(monkeypatch, command, [*others, "--config", config,
+                                                   flag(name), flag_raw, *out]), name) == flag_value
+    if value.default is cli.REQUIRED:
+        capsys.readouterr()
+        assert run([command, *others, *out]) == 2
+        assert capsys.readouterr().err == (f"config error: {command} needs {flag(name)} "
+                                           f"or a config entry {name}\n")
+    else:
+        assert getattr(resolved(monkeypatch, command, [*others, *out]), name) == value.default
+
+
+def test_a_seed_entry_seeds_the_run(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[verify-theory]\nsuite = argmax_consistency\ntrials = 3\nseed = 9\n")
+    assert run(["verify-theory", "--config", config, "--out", tmp_path / "a"]) == 0
+    assert theory_seeds(tmp_path / "a") == ["9", "10", "11"]
+    assert run(["verify-theory", "--config", config, "--seed", 4, "--out", tmp_path / "b"]) == 0
+    assert theory_seeds(tmp_path / "b") == ["4", "5", "6"]
+
+
+@pytest.mark.parametrize("command, entry", [("verify-theory", "trails = 2"),
+                                            ("train", "total-steps = 40"),
+                                            ("train", "out = elsewhere"),
+                                            ("eval", "config = other.ini")])
+def test_an_undeclared_entry_is_one_line_config_error(tmp_path, capsys, command, entry):
+    config = tmp_path / "c.ini"
+    config.write_text(f"[{command}]\n{entry}\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--config", config, "--out", out]) == 2
+    key = entry.split(" = ")[0]
+    assert capsys.readouterr().err == (f"config error: unknown config entry {key!r} "
+                                       f"in section [{command}]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, bad", [("train", "algorithm", "bogus"),
+                                                ("sweep", "algorithm", "bogus"),
+                                                ("gen-data", "env", "mars"),
+                                                ("gen-data", "tier", "legendary"),
+                                                ("eval", "scripted", "oracle"),
+                                                ("verify-theory", "suite", "noneuclidean")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_value_outside_its_choices_is_the_same_line_from_flag_or_entry(
+        tmp_path, capsys, command, name, bad, source):
+    argv = [command, *required_flags(command, name)]
+    if source == "flag":
+        argv += [flag(name), bad]
+    else:
+        config = tmp_path / "c.ini"
+        config.write_text(f"[{command}]\n{name} = {bad}\n")
+        argv += ["--config", config]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 2
+    choices = ", ".join(DECLARED[command][name].choices)
+    assert capsys.readouterr().err == (f"config error: {name} must be one of {choices}, "
+                                       f"got {bad!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bounds_hold_for_entries_as_for_flags(tmp_path, capsys, source):
+    argv = ["verify-theory", "--suite", "contraction"]
+    if source == "flag":
+        argv += ["--seed", -2]
+    else:
+        config = tmp_path / "c.ini"
+        config.write_text("[verify-theory]\nseed = -2\n")
+        argv += ["--config", config]
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be at least 0, got -2\n"
+
+
+def test_verify_theory_from_entries_matches_the_run_from_flags(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[verify-theory]\nsuite = gap_expansion\ntrials = 4\nseed = 6\n")
+    assert run(["verify-theory", "--config", config, "--out", tmp_path / "entries"]) == 0
+    assert run(["verify-theory", "--suite", "gap_expansion", "--trials", 4, "--seed", 6,
+                "--out", tmp_path / "flags"]) == 0
+    assert (tmp_path / "entries" / "theory.csv").read_bytes() == \
+        (tmp_path / "flags" / "theory.csv").read_bytes()
+
+
+def test_desk_train_from_entries_matches_the_run_from_flags(workspace, tmp_path):
+    _, data_dir, model_dir = workspace
+    settings = {"data": data_dir, "model": model_dir, "algorithm": "csve", "seed": 3,
+                "total_steps": 40, "batch_size": 128, "hidden_sizes": "32,32",
+                "n_action_samples": 4, "log_interval": 20, "eval_interval": 40, "n_eval": 2}
+    config = tmp_path / "c.ini"
+    config.write_text("[train]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert run(["train", "--config", config, "--out", tmp_path / "entries"]) == 0
+    argv = [arg for k, v in settings.items() for arg in (flag(k), v)]
+    assert run(["train", *argv, "--out", tmp_path / "flags"]) == 0
+    files = sorted(p.relative_to(tmp_path / "flags") for p in (tmp_path / "flags").rglob("*")
+                   if p.is_file() and p.name != "run.log")
+    assert "metrics.csv" in map(str, files) and len(files) > 3
+    for path in files:
+        assert (tmp_path / "entries" / path).read_bytes() == \
+            (tmp_path / "flags" / path).read_bytes(), path

@@ -46,6 +46,29 @@ def test_mdp_rejects_bad_discount():
             tab.TabularMdp(p, np.zeros((1, 1)), np.array([1.0]), gamma, 1.0)
 
 
+@pytest.mark.parametrize("column, index", [("states", 8), ("states", -1), ("actions", 2),
+                                           ("actions", -1), ("next_states", 20),
+                                           ("next_states", -1)])
+def test_dataset_rejects_indices_out_of_range_at_construction(column, index):
+    """8 states, 2 actions: each way in raises InputError, not an IndexError
+    from ``np.add.at`` or a negative index that wraps."""
+    good = {"states": np.array([1, 2]), "actions": np.array([0, 1]),
+            "next_states": np.array([1, 2])}
+    bad = {**good, column: np.array([1, index])}
+    counts = np.zeros((8, 2), dtype=np.int64)
+    np.add.at(counts, (good["states"], good["actions"]), 1)
+    name = column[:-1].replace("_", " ")
+    with pytest.raises(InputError, match=f"^{name} indices run from"):
+        tab.TabularDataset(bad["states"], bad["actions"], np.zeros(2), bad["next_states"],
+                           counts, counts.sum(axis=1))
+    with pytest.raises(InputError, match=f"^{name} indices run from"):
+        tab.TabularDataset.from_arrays(bad["states"], bad["actions"], np.zeros(2),
+                                       bad["next_states"], 8, 2)
+    with pytest.raises(InputError, match=f"^{name} indices run from"):
+        tab.TabularDataset.from_transitions(
+            zip(bad["states"], bad["actions"], np.zeros(2), bad["next_states"]), 8, 2)
+
+
 def test_policy_rows_must_normalize():
     with pytest.raises(InputError):
         tab.PolicyTable(np.array([[0.5, 0.4]]))

@@ -5,7 +5,7 @@
 Run it in two checkouts and diff the lists: equal lists mean the two
 produce byte-identical datasets, models, checkpoints and CSVs on this set.
 The runs, all in this process, from this checkout's ``src/``, with the BLAS
-thread count pinned to 1 and every stage seeded with ``--seed``:
+thread count pinned to 1 and every stage but the last seeded with ``--seed N``:
 
 * ``gen-data`` of every environment and dataset tier at 5,000 rows, and of
   pointmass2d ``medium`` at 20,000 rows;
@@ -19,7 +19,11 @@ thread count pinned to 1 and every stage seeded with ``--seed``:
 * a ``sweep`` of csve over ``tau_budget`` 5 and 10 with the desk model, one
   seed, 200 desk-size steps on the 20,000-row set, so that the model-error
   report reaches a file (``sweep.csv``'s ``model_mean_l2``);
-* ``verify-theory --suite all``.
+* ``verify-theory --suite all``;
+* ``verify-theory`` of three ``argmax_consistency`` trials at seed N + 1,
+  all three settings from the entries of ``theory-config.ini`` (hashed
+  too) and none by flag, so that a change to how the CLI resolves values
+  shows as an md5 change.
 
 Prints one ``md5  path`` line per output file, paths relative to the work
 directory, sorted; ``run.log`` holds wall-clock stamps and is left out.
@@ -45,6 +49,8 @@ from csve import cli, data, envs  # noqa: E402
 DESK_SIZE = ["--batch-size", 128, "--hidden-sizes", "32,32", "--n-action-samples", 4]
 DESK = [*DESK_SIZE, "--total-steps", 600, "--log-interval", 100, "--eval-interval", 300,
         "--n-eval", 5]
+# the last run's settings; seed N + 1 is never the default 0
+THEORY_CONFIG = "[verify-theory]\nsuite = argmax_consistency\ntrials = 3\nseed = {seed}\n"
 PAPER = ["--batch-size", 256, "--hidden-sizes", "256,256", "--n-action-samples", 10,
          "--total-steps", 50, "--log-interval", 10, "--no-eval", "true"]
 
@@ -78,7 +84,9 @@ def commands(seed: int, work: Path):
                  *DESK_SIZE, "--total-steps", 200, "--log-interval", 100,
                  "--eval-interval", 100, "--n-eval", 5, "--out", work / "sweep"])
     runs.append(["verify-theory", "--suite", "all", "--out", work / "theory"])
-    return [[str(a) for a in argv] + ["--seed", str(seed)] for argv in runs]
+    runs = [[str(a) for a in argv] + ["--seed", str(seed)] for argv in runs]
+    return runs + [["verify-theory", "--config", str(work / "theory-config.ini"),
+                    "--out", str(work / "theory-config")]]
 
 
 def hash_lines(work: Path) -> list[str]:
@@ -96,6 +104,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="csve-hashes-") as tmp:
         work = Path(tmp)
+        (work / "theory-config.ini").write_text(THEORY_CONFIG.format(seed=args.seed + 1))
         for command in commands(args.seed, work):
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 code = cli.main(command)

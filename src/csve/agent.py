@@ -452,9 +452,11 @@ def _evaluate_bundle(bundle, env, episodes: int, rng: np.random.Generator):
     return float(returns.mean()), float(returns.std())
 
 
-# Settings a baseline fixes over the caller's: awac has neither state penalty
-# nor bonus, and cql_awr keeps its alpha at alpha_init.
+# Settings an algorithm fixes over the caller's: csve_noise penalizes noisy
+# states, awac has neither state penalty nor bonus, and cql_awr keeps its
+# alpha at alpha_init.
 _FIXED_HP = {
+    "csve_noise": dict(ood_variant="gaussian_noise"),
     "awac": dict(adaptive_alpha=False, alpha_init=0.0, lambda_explore=0.0),
     "cql_awr": dict(adaptive_alpha=False),
 }
@@ -488,12 +490,10 @@ def train_agent(dataset: ContinuousTransitionDataset,
     if model is not None:
         model.check_dims(dataset)
     hp = algorithm_hp(hp, algorithm)
-    noise_variant = algorithm == "csve_noise" or (
-        algorithm == "csve" and hp.ood_variant == "gaussian_noise")
-    uses_penalty = algorithm in ("csve", "csve_noise") and (
-        hp.adaptive_alpha or hp.alpha_init > 0.0)
+    noise_variant = hp.ood_variant == "gaussian_noise"
+    uses_penalty = algorithm != "cql_awr" and (hp.adaptive_alpha or hp.alpha_init > 0.0)
     needs_model = (uses_penalty and not noise_variant) or (
-        algorithm in ("csve", "csve_noise") and hp.lambda_explore > 0.0)
+        algorithm != "cql_awr" and hp.lambda_explore > 0.0)
     if needs_model and model is None:
         raise InputError(f"algorithm {algorithm!r} needs a dynamics model here")
 

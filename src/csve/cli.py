@@ -33,7 +33,6 @@ from .errors import ConfigError, CorruptFileError, CsveError, DivergenceError, I
 CSV_SCHEMA_VERSION = 1
 METRIC_COLUMNS = ("step", "loss_v", "loss_q", "loss_pi", "alpha", "v_gap",
                   "eval_return_mean", "eval_return_std")
-THEORY_COLUMNS = ("theorem", "seed", "alpha", "threshold", "lhs", "rhs", "holds")
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +68,18 @@ def _log(out_dir: Path, message: str) -> None:
 
 def _load_config_section(path: str | None, section: str) -> dict:
     """The entries of ``section`` in the INI file ``path``; a file that
-    cannot be read or parsed raises ConfigError on one line."""
+    cannot be read or parsed, or that has entries under [DEFAULT] (which
+    configparser would merge into every section, or into none), raises
+    ConfigError on one line."""
     if not path:
         return {}
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path):
             raise ConfigError(f"config file {path!r} not found or unreadable")
+        if parser.defaults():
+            raise ConfigError(f"config file {path!r} has entries under [DEFAULT]; "
+                              "put each in its command's section")
         return dict(parser.items(section)) if parser.has_section(section) else {}
     except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"config file {path!r} does not parse: "
@@ -271,7 +275,7 @@ def cmd_verify_theory(args) -> int:
                      for name in names}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "theory.csv", THEORY_COLUMNS,
+    write_csv(out / "theory.csv", theory.COLUMNS,
               [row for rows in rows_by_suite.values() for row in rows])
     _log(out, f"verify-theory suite={args.suite} seed={args.seed}")
     for name, rate in theory.summarize(rows_by_suite).items():

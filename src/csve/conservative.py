@@ -28,6 +28,7 @@ from .tabular import (
     ValueTable,
     discounted_occupancies,
     discounted_state_occupancy,
+    effective_counts,
     exact_policy_evaluation,
     policy_iteration,
     policy_reward_vector,
@@ -37,6 +38,7 @@ from .tabular import (
 )
 
 REPORT_TOL = 1e-9
+CALIBRATION_DELTA = 0.05
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,13 @@ class CsvePenaltyConfig:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of one inequality check: holds iff lhs <= rhs + tol."""
+    """Outcome of one inequality check, with the penalty weight the check
+    derives as sufficient (0 where it derives none)."""
 
     holds: bool
     lhs: float
     rhs: float
     alpha_threshold: float
-    witness: int | None = None
-    tol: float = REPORT_TOL
 
 
 @dataclass(frozen=True)
@@ -117,30 +118,23 @@ def csve_operator(v: ValueTable, policy: PolicyTable, empirical: TabularMdp,
 
 
 def csve_objective_argmin(v: ValueTable, policy: PolicyTable, empirical: TabularMdp,
-                          penalty: CsvePenaltyConfig, method: str = "exact") -> ValueTable:
-    """Exact minimizer of the penalized regression objective
+                          penalty: CsvePenaltyConfig) -> ValueTable:
+    """Minimizer of the penalized regression objective
 
         0.5 E_{s~d_u}[(backup(s) - V(s))^2] + alpha (E_d[V] - E_{d_u}[V])
 
-    solved per state.  ``exact`` uses the quadratic stationarity condition;
-    ``grid`` brackets the minimum on a coarse grid and takes one parabolic
-    vertex fit, which is exact for this pointwise-quadratic objective and
-    touches the objective only through function evaluations.  States outside
-    supp(d_u) carry no objective mass and are set to the plain backup.
+    solved per state: bracket the minimum on a coarse grid and take one
+    parabolic vertex fit, which is exact for this pointwise-quadratic
+    objective and touches the objective only through function evaluations,
+    so it checks ``csve_operator`` independently.  States outside supp(d_u)
+    carry no objective mass and are set to the plain backup.
     """
     backup = empirical_bellman_backup(v.values, policy, empirical)
     du = penalty.d_u.probs
     d = penalty.d.probs
     out = backup.copy()
-    on = du > 0
-    if method == "exact":
-        # stationarity of 0.5*du*(t - v)^2 + alpha*(d - du)*v in v
-        out[on] = (du[on] * backup[on] - penalty.alpha * (d[on] - du[on])) / du[on]
-        return ValueTable(out)
-    if method != "grid":
-        raise ValueError(f"unknown method {method!r}")
     span = abs(backup).max() + penalty.alpha * (abs(penalty.bracket()).max() + 1.0) + 1.0
-    for s in np.flatnonzero(on):
+    for s in np.flatnonzero(du > 0):
         def objective(val):
             return 0.5 * du[s] * (backup[s] - val) ** 2 + penalty.alpha * (d[s] - du[s]) * val
 
@@ -191,31 +185,18 @@ def cql_q_operator(q: QTable, policy: PolicyTable, mu: PolicyTable | None,
 # Calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_sampling_error_model(num_states: int, discount: float, r_max: float,
-                                   delta: float = 0.05,
-                                   reward_noise_scale: float = 0.0,
-                                   unvisited_count_floor: float = 0.01) -> SamplingErrorModel:
-    """Concentration constants from closed-form tail inversions at level delta.
+def calibrate_sampling_error_model(num_states: int, discount: float) -> SamplingErrorModel:
+    """Concentration constants from closed-form tail inversions at level
+    CALIBRATION_DELTA.
 
-    c_r inverts a Hoeffding tail for rewards with per-sample range
-    ``reward_noise_scale`` (0 for deterministic rewards); c_p inverts the
-    L1 multinomial tail P(||Phat - P||_1 >= eps) <= 2^S exp(-n eps^2 / 2).
-    c_rt rescales the combined backup-error bound onto the
+    c_r, the Hoeffding tail of a reward's per-sample range, is 0: every
+    instance has deterministic rewards.  c_p inverts the L1 multinomial tail
+    P(||Phat - P||_1 >= eps) <= 2^S exp(-n eps^2 / 2).  c_rt rescales the
+    combined backup-error bound 2 gamma c_p r_max onto the
     c_rt * r_max / ((1-gamma) sqrt(n)) form.
     """
-    c_r = reward_noise_scale * math.sqrt(0.5 * math.log(2.0 / delta))
-    c_p = math.sqrt(2.0 * (num_states * math.log(2.0) + math.log(1.0 / delta)))
-    if r_max > 0:
-        combined = (c_r * (1.0 - discount) + 2.0 * discount * c_p * r_max) / r_max
-    else:
-        combined = 2.0 * discount * c_p
-    return SamplingErrorModel(
-        c_r=c_r,
-        c_p=c_p,
-        c_rt=max(c_r, combined),
-        delta=delta,
-        unvisited_count_floor=unvisited_count_floor,
-    )
+    c_p = math.sqrt(2.0 * (num_states * math.log(2.0) + math.log(1.0 / CALIBRATION_DELTA)))
+    return SamplingErrorModel(c_r=0.0, c_p=c_p, c_rt=2.0 * discount * c_p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +219,15 @@ def alpha_threshold(mdp: TabularMdp, empirical: TabularMdp, policy: PolicyTable,
 
 
 def certify_lower_bound_under_d(mdp: TabularMdp, empirical: TabularMdp,
-                                policy: PolicyTable, penalty: CsvePenaltyConfig,
-                                dataset: TabularDataset,
-                                sem: SamplingErrorModel) -> CertificationReport:
-    """Check E_d[V_conservative] <= E_d[V_true]."""
-    try:
-        threshold = alpha_threshold(mdp, empirical, policy, penalty, dataset, sem)
-    except DegenerateDistributionError:
-        threshold = math.inf
+                                policy: PolicyTable,
+                                penalty: CsvePenaltyConfig) -> CertificationReport:
+    """Check E_d[V_conservative] <= E_d[V_true]; its sufficient penalty
+    weight is ``alpha_threshold``."""
     v_hat, _ = csve_fixed_point(policy, empirical, penalty)
     v_true = exact_policy_evaluation(mdp, policy)
     lhs = float(penalty.d.probs @ v_hat.values)
     rhs = float(penalty.d.probs @ v_true.values)
-    witness = int((v_hat.values - v_true.values).argmax())
-    return CertificationReport(lhs <= rhs + REPORT_TOL, lhs, rhs, threshold, witness)
+    return CertificationReport(lhs <= rhs + REPORT_TOL, lhs, rhs, 0.0)
 
 
 def certify_lower_bound_under_data(mdp: TabularMdp, empirical: TabularMdp,
@@ -268,8 +244,7 @@ def certify_lower_bound_under_data(mdp: TabularMdp, empirical: TabularMdp,
     du = penalty.d_u.probs
     lhs = float(du @ v_hat.values)
     rhs = float(du @ v_true.values + du @ weighted)
-    witness = int((v_hat.values - v_true.values - weighted).argmax())
-    return CertificationReport(lhs <= rhs + REPORT_TOL, lhs, rhs, 0.0, witness)
+    return CertificationReport(lhs <= rhs + REPORT_TOL, lhs, rhs, 0.0)
 
 
 def certify_gap_expansion(mdp: TabularMdp, empirical: TabularMdp, policy: PolicyTable,
@@ -356,8 +331,7 @@ def safe_improvement_breakdown(mdp: TabularMdp, empirical: TabularMdp,
     ratio_sq[on] = star[on] ** 2 / beta[on]
     per_state_ratio = np.sqrt(ratio_sq.sum(axis=1))
 
-    counts = np.where(dataset.count_s > 0, dataset.count_s.astype(np.float64),
-                      sem.unvisited_count_floor)
+    counts = effective_counts(dataset.count_s, sem)
     occupancy = discounted_state_occupancy(empirical, pi_star)
     g = mdp.discount
     prefix = 2.0 * (sem.c_r / (1.0 - g) + g * mdp.r_max * sem.c_p / (1.0 - g) ** 2)
@@ -392,12 +366,4 @@ def certify_interpolation(rho: StateDistribution, d: StateDistribution,
     d_f = f * d_p + (1.0 - f) * rho_p
     include = (rho_p > 0) & (d_f > 0)
     value = float((rho_p[include] * (rho_p[include] - d_p[include]) / d_f[include]).sum())
-    excluded = int(((rho_p > 0) & (d_f == 0)).sum())
-    return CertificationReport(
-        holds=value >= -1e-12,
-        lhs=-value,
-        rhs=0.0,
-        alpha_threshold=0.0,
-        witness=excluded if excluded else None,
-        tol=1e-12,
-    )
+    return CertificationReport(value >= -1e-12, -value, 0.0, 0.0)

@@ -63,7 +63,7 @@ class ContinuousTransitionDataset:
         return self.actions.shape[1]
 
 
-def _policy_for_phase(env, tier: str, phase: float):
+def _policy_for_phase(env, phase: float):
     """medium_replay interpolates random -> medium as phase goes 0 -> 1 by
     shrinking the uniform-action rate (gridworld: the epsilon) toward the
     medium tier's value."""
@@ -112,27 +112,22 @@ def generate_dataset(env, tier: str, size: int, seed: int,
     seq = np.random.SeedSequence(seed)
     gen_rng, random_rng, expert_rng = (np.random.default_rng(s) for s in seq.spawn(3))
 
+    if tier == "medium_expert":
+        half = size // 2
+        segments = [("medium", half, scripted_policy(env, "medium")),
+                    ("expert", size - half, scripted_policy(env, "expert"))]
+    elif tier == "medium_replay":
+        phases, share = 5, size // 5
+        segments = [(f"phase_{j}", share if j < phases - 1 else size - (phases - 1) * share,
+                     _policy_for_phase(env, j / (phases - 1))) for j in range(phases)]
+    else:
+        segments = [(tier, size, scripted_policy(env, tier))]
     columns: tuple[list, ...] = ([], [], [], [], [])
-    if tier in ("random", "medium", "expert"):
-        behavior_returns = _collect(env, scripted_policy(env, tier), size, gen_rng, columns)
-        composition = {tier: size}
-    elif tier == "medium_expert":
-        first = size // 2
-        behavior_returns = (
-            _collect(env, scripted_policy(env, "medium"), first, gen_rng, columns)
-            + _collect(env, scripted_policy(env, "expert"), size - first, gen_rng, columns))
-        composition = {"medium": first, "expert": size - first}
-    else:  # medium_replay
-        phases = 5
-        composition = {}
-        behavior_returns = []
-        for j in range(phases):
-            share = size // phases if j < phases - 1 else size - (phases - 1) * (size // phases)
-            if share == 0:
-                continue
-            policy = _policy_for_phase(env, tier, j / (phases - 1))
+    composition, behavior_returns = {}, []
+    for name, share, policy in segments:
+        if share:  # a segment of no rows rolls no episode
             behavior_returns.extend(_collect(env, policy, share, gen_rng, columns))
-            composition[f"phase_{j}"] = share
+            composition[name] = share
 
     states, actions, rewards, next_states, dones = (np.concatenate(col) for col in columns)
     random_anchor = float(np.mean(evaluate_policy(env, scripted_policy(env, "random"),

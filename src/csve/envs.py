@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class EnvSpec:
     action_low: np.ndarray
     action_high: np.ndarray
     horizon: int
-    physics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.state_dim <= 0 or self.action_dim <= 0:
@@ -94,8 +93,6 @@ class PointMass2d:
             action_low=-np.ones(2),
             action_high=np.ones(2),
             horizon=200,
-            physics={"dt": self.DT, "goal": list(self.GOAL),
-                     "goal_radius": self.GOAL_RADIUS},
         )
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
@@ -172,8 +169,6 @@ class GridWorld:
             action_low=-np.ones(2),
             action_high=np.ones(2),
             horizon=self.HORIZON,
-            physics={"size": self.SIZE, "slip": slip, "goal": list(self.goal),
-                     "start": list(self.start)},
         )
 
     # -- index helpers -----------------------------------------------------
@@ -280,7 +275,6 @@ class Pendulum:
             action_low=np.array([-self.MAX_TORQUE]),
             action_high=np.array([self.MAX_TORQUE]),
             horizon=200,
-            physics={"dt": self.DT, "g": self.G, "m": self.M, "l": self.L},
         )
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
@@ -398,15 +392,14 @@ def scripted_policy(env, tier: str, mix: float | None = None):
 # Rollouts and evaluation
 # ---------------------------------------------------------------------------
 
-def rollout(env, policy, rng: np.random.Generator, horizon: int | None = None):
-    """One episode; returns (states, actions, rewards, next_states, dones,
-    episode_return)."""
-    horizon = env.spec.horizon if horizon is None else horizon
+def rollout(env, policy, rng: np.random.Generator):
+    """One episode of at most ``env.spec.horizon`` steps; returns (states,
+    actions, rewards, next_states, dones, episode_return)."""
     low, high = env.spec.action_low, env.spec.action_high
     states, actions, rewards, next_states, dones = [], [], [], [], []
     state = env.reset(rng)
     total = 0.0
-    for _ in range(horizon):
+    for _ in range(env.spec.horizon):
         action = np.minimum(np.maximum(policy(state, rng), low), high)  # np.clip, faster
         nxt, reward, done = env.step(state, action, rng)
         states.append(state)

@@ -9,7 +9,7 @@ construction; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,6 @@ PROB_ATOL = 1e-12
 SOLVE_RTOL = 1e-10
 TIE_RTOL = 1e-12
 POLICY_ITERATION_ROUNDS = 1_000
-
-DIST_KINDS = ("empirical_marginal", "discounted_occupancy", "model_next_state", "custom")
 
 
 def _frozen_array(values, dtype=np.float64):
@@ -131,15 +129,12 @@ class QTable:
 
 @dataclass(frozen=True)
 class StateDistribution:
-    """Probability vector over states, tagged with its provenance."""
+    """Probability vector over states."""
 
     probs: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _frozen_array(self.probs))
-        if self.kind not in DIST_KINDS:
-            raise InputError(f"unknown distribution kind {self.kind!r}")
         p = self.probs
         if p.ndim != 1:
             raise InputError("state distribution must be one-dimensional")
@@ -166,7 +161,6 @@ class SamplingErrorModel:
     c_r: float
     c_p: float
     c_rt: float
-    delta: float = 0.05
     unvisited_count_floor: float = 0.01
 
     def __post_init__(self):
@@ -174,8 +168,6 @@ class SamplingErrorModel:
             raise InputError("concentration constants must be nonnegative")
         if self.c_rt < self.c_r:
             raise InputError("combined constant c_rt must dominate c_r")
-        if not (0.0 < self.delta < 1.0):
-            raise InputError("delta must lie in (0, 1)")
         if self.unvisited_count_floor <= 0:
             raise InputError("unvisited_count_floor must be positive")
 
@@ -338,8 +330,7 @@ def discounted_occupancies(p_pi: np.ndarray, initial_dist: np.ndarray,
 def discounted_state_occupancy(mdp: TabularMdp, policy: PolicyTable) -> StateDistribution:
     """``discounted_occupancies`` of one policy's P_pi as a state distribution."""
     return StateDistribution(discounted_occupancies(policy_transition_matrix(mdp, policy),
-                                                    mdp.initial_dist, mdp.discount),
-                             kind="discounted_occupancy")
+                                                    mdp.initial_dist, mdp.discount))
 
 
 def empirical_mdp(dataset: TabularDataset, template: TabularMdp) -> TabularMdp:
@@ -379,20 +370,19 @@ def dataset_state_marginal(dataset: TabularDataset, num_states: int) -> StateDis
     counts = dataset.count_s.astype(np.float64)
     if counts.shape != (num_states,):
         raise InputError("dataset count vector disagrees with num_states")
-    return StateDistribution(counts / counts.sum(), kind="empirical_marginal")
+    return StateDistribution(counts / counts.sum())
 
 
-def effective_counts(dataset: TabularDataset, sem: SamplingErrorModel) -> np.ndarray:
-    """Visit counts with the unvisited floor substituted for zeros."""
-    counts = dataset.count_sa.astype(np.float64)
-    return np.where(counts > 0, counts, sem.unvisited_count_floor)
+def effective_counts(counts: np.ndarray, sem: SamplingErrorModel) -> np.ndarray:
+    """Visit counts as floats with the unvisited floor substituted for zeros."""
+    return np.where(counts > 0, counts.astype(np.float64), sem.unvisited_count_floor)
 
 
 def sampling_error_vector(dataset: TabularDataset, sem: SamplingErrorModel,
                           mdp: TabularMdp, policy: PolicyTable) -> np.ndarray:
     """Per-state expected value-error bound
     E_{a~pi}[c_rt * r_max / ((1-gamma) * sqrt(count(s,a)))]."""
-    counts = effective_counts(dataset, sem)
+    counts = effective_counts(dataset.count_sa, sem)
     per_pair = sem.c_rt * mdp.r_max / ((1.0 - mdp.discount) * np.sqrt(counts))
     return (policy.probs * per_pair).sum(axis=1)
 
@@ -416,10 +406,8 @@ def random_policy(num_states: int, num_actions: int, rng: np.random.Generator) -
 
 
 def random_distribution(num_states: int, rng: np.random.Generator,
-                        support: np.ndarray | None = None) -> StateDistribution:
-    """Dirichlet(1) distribution, optionally restricted to a support set."""
-    if support is None:
-        return StateDistribution(rng.dirichlet(np.ones(num_states)))
+                        support: np.ndarray) -> StateDistribution:
+    """Dirichlet(1) distribution on a support set."""
     support = np.asarray(support, dtype=np.int64)
     if support.size == 0:
         raise InputError("support must be nonempty")
@@ -443,18 +431,16 @@ def choice_cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def sample_dataset(mdp: TabularMdp, behavior: PolicyTable, size: int,
-                   rng: np.random.Generator,
-                   state_dist: np.ndarray | None = None) -> TabularDataset:
-    """Draw (s, a, r, s') i.i.d.: s from state_dist (uniform by default),
-    a ~ behavior, s' ~ P, r = r(s,a).
+                   rng: np.random.Generator) -> TabularDataset:
+    """Draw (s, a, r, s') i.i.d.: s uniform, a ~ behavior, s' ~ P, r = r(s,a).
 
-    After the states, each transition takes two doubles from ``rng``, the
-    action's and then the next state's, as one ``rng.choice`` call each would.
+    The states come from ``rng.choice`` with an explicit uniform ``p``, which
+    draws differently from ``choice`` without one.  After them, each
+    transition takes two doubles from ``rng``, the action's and then the next
+    state's, as one ``rng.choice`` call each would.
     """
     s_dim, a_dim = mdp.num_states, mdp.num_actions
-    if state_dist is None:
-        state_dist = np.full(s_dim, 1.0 / s_dim)
-    states = rng.choice(s_dim, size=size, p=state_dist)
+    states = rng.choice(s_dim, size=size, p=np.full(s_dim, 1.0 / s_dim))
     u = rng.random((size, 2))
     actions = np.count_nonzero(choice_cdf(behavior.probs)[states] <= u[:, :1], axis=1)
     next_cdf = choice_cdf(mdp.transition)[states, actions]

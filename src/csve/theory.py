@@ -9,6 +9,10 @@ gamma/(1-gamma) times the bracket's largest negative excursion.  That is a
 sufficient condition for the discounted accumulation of the penalty to
 stay positive, which the expected-lower-bound guarantee silently assumes
 and which an adversarial d can violate.
+
+The suites' fixed settings are the module constants: the instance size
+INSTANCE_STATES x INSTANCE_ACTIONS at INSTANCE_DISCOUNT, ALPHA_SCALE,
+GAP_ITERATIONS, SAFE_IMPROVEMENT_SIZE and INTERPOLATION_GRID.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from . import tabular as tab
 from .errors import DegenerateDistributionError
 
 MARGIN_EPS = 1e-9
+COLUMNS = ("theorem", "seed", "alpha", "threshold", "lhs", "rhs", "holds")
+INSTANCE_STATES, INSTANCE_ACTIONS, INSTANCE_DISCOUNT = 8, 3, 0.8
+ALPHA_SCALE = 1.1  # alpha over the threshold in the finite-sample d-bound
+GAP_ITERATIONS = 5  # k of the gap-expansion check
+SAFE_IMPROVEMENT_SIZE = 2000  # transitions per safe-improvement gridworld dataset
+INTERPOLATION_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -37,12 +47,10 @@ class CertificationInstance:
     d_u: tab.StateDistribution
 
 
-def _bracket_margin(d: np.ndarray, d_u: np.ndarray, discount: float) -> float:
-    support = d_u > 0
-    bracket = np.zeros_like(d_u)
-    bracket[support] = d[support] / d_u[support] - 1.0
-    worst = max(0.0, -float(bracket.min()))
-    return float(d @ bracket) - discount / (1.0 - discount) * worst
+def _bracket_margin(d: tab.StateDistribution, d_u: tab.StateDistribution,
+                    discount: float) -> float:
+    bracket = cons.CsvePenaltyConfig(0.0, d, d_u).bracket()
+    return float(d.probs @ bracket) - discount / (1.0 - discount) * max(0.0, -bracket.min())
 
 
 def margin_guarded_distribution(d_u: tab.StateDistribution, discount: float,
@@ -57,69 +65,62 @@ def margin_guarded_distribution(d_u: tab.StateDistribution, discount: float,
     base = rng.dirichlet(np.ones(support.size)) if support.size > 1 else np.ones(1)
     for power in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
         tilted = base ** power
-        tilted = tilted / tilted.sum()
         probs = np.zeros_like(d_u.probs)
-        probs[support] = tilted
-        if _bracket_margin(probs, d_u.probs, discount) > MARGIN_EPS:
-            return tab.StateDistribution(probs)
+        probs[support] = tilted / tilted.sum()
+        d = tab.StateDistribution(probs)
+        if _bracket_margin(d, d_u, discount) > MARGIN_EPS:
+            return d
     probs = np.zeros_like(d_u.probs)
     probs[support[d_u.probs[support].argmin()]] = 1.0
-    if _bracket_margin(probs, d_u.probs, discount) <= MARGIN_EPS:
+    d = tab.StateDistribution(probs)
+    if _bracket_margin(d, d_u, discount) <= MARGIN_EPS:
         raise DegenerateDistributionError(
             "no sampling distribution with a positive penalty margin exists; "
             "lower the discount or spread d_u"
         )
-    return tab.StateDistribution(probs)
+    return d
 
 
-def make_instance(seed: int, num_states: int = 8, num_actions: int = 3,
-                  discount: float = 0.8, dataset_size: int = 500,
-                  delta: float = 0.05, zero_error: bool = False) -> CertificationInstance:
-    """One seeded certification instance: random MDP, random target policy,
-    i.i.d. dataset under a random behavior policy, calibrated constants and a
-    margin-guarded sampling distribution."""
+def make_instance(seed: int, dataset_size: int = 500,
+                  zero_error: bool = False) -> CertificationInstance:
+    """One seeded certification instance on INSTANCE_STATES states and
+    INSTANCE_ACTIONS actions at discount INSTANCE_DISCOUNT: random MDP,
+    random target policy, i.i.d. dataset under a random behavior policy,
+    calibrated constants and a margin-guarded sampling distribution."""
     rng = np.random.default_rng(seed)
-    mdp = tab.random_mdp(num_states, num_actions, discount, rng)
-    policy = tab.random_policy(num_states, num_actions, rng)
-    behavior = tab.random_policy(num_states, num_actions, rng)
+    mdp = tab.random_mdp(INSTANCE_STATES, INSTANCE_ACTIONS, INSTANCE_DISCOUNT, rng)
+    policy = tab.random_policy(INSTANCE_STATES, INSTANCE_ACTIONS, rng)
+    behavior = tab.random_policy(INSTANCE_STATES, INSTANCE_ACTIONS, rng)
     dataset = tab.sample_dataset(mdp, behavior, dataset_size, rng)
-    sem = cons.calibrate_sampling_error_model(num_states, discount, mdp.r_max, delta=delta)
+    sem = cons.calibrate_sampling_error_model(INSTANCE_STATES, INSTANCE_DISCOUNT)
     if zero_error:
         empirical = mdp
-        d_u = tab.StateDistribution(rng.dirichlet(np.ones(num_states)))
+        d_u = tab.StateDistribution(rng.dirichlet(np.ones(INSTANCE_STATES)))
     else:
         empirical = tab.empirical_mdp(dataset, mdp)
-        d_u = tab.dataset_state_marginal(dataset, num_states)
-    d = margin_guarded_distribution(d_u, discount, rng)
+        d_u = tab.dataset_state_marginal(dataset, INSTANCE_STATES)
+    d = margin_guarded_distribution(d_u, INSTANCE_DISCOUNT, rng)
     return CertificationInstance(mdp, policy, dataset, empirical, sem, d, d_u)
 
 
-def _row(theorem: str, seed: int, alpha: float, threshold: float,
-         lhs: float, rhs: float, holds: bool) -> dict:
-    return {
-        "theorem": theorem,
-        "seed": seed,
-        "alpha": alpha,
-        "threshold": threshold,
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": holds,
-    }
+def _row(*values) -> dict:
+    """One theory.csv row: theorem, seed, alpha, threshold, lhs, rhs, holds."""
+    return dict(zip(COLUMNS, values))
 
 
-def run_contraction_trials(trials: int, seed0: int = 0, max_states: int = 20,
-                           max_actions: int = 5) -> list[dict]:
-    """sup-norm contraction of the penalized operator on random tuples."""
+def run_contraction_trials(trials: int, seed0: int = 0) -> list[dict]:
+    """sup-norm contraction of the penalized operator on random tuples of
+    2 to 20 states and 1 to 5 actions."""
     rows = []
     for seed in range(seed0, seed0 + trials):
         rng = np.random.default_rng(seed)
-        s = int(rng.integers(2, max_states + 1))
-        a = int(rng.integers(1, max_actions + 1))
+        s = int(rng.integers(2, 21))
+        a = int(rng.integers(1, 6))
         discount = float(rng.uniform(0.1, 0.99))
         mdp = tab.random_mdp(s, a, discount, rng)
         policy = tab.random_policy(s, a, rng)
         d_u = tab.StateDistribution(rng.dirichlet(np.ones(s)))
-        d = tab.random_distribution(s, rng, support=d_u.support)
+        d = tab.random_distribution(s, rng, d_u.support)
         alpha = float(rng.uniform(0.0, 50.0))
         penalty = cons.CsvePenaltyConfig(alpha, d, d_u)
         v1 = tab.ValueTable(rng.normal(0.0, 10.0, size=s))
@@ -143,80 +144,80 @@ def run_operator_equivalence_trials(trials: int, seed0: int = 0) -> list[dict]:
         mdp = tab.random_mdp(s, a, float(rng.uniform(0.3, 0.95)), rng)
         policy = tab.random_policy(s, a, rng)
         d_u = tab.StateDistribution(rng.dirichlet(np.ones(s)))
-        d = tab.random_distribution(s, rng, support=d_u.support)
+        d = tab.random_distribution(s, rng, d_u.support)
         penalty = cons.CsvePenaltyConfig(float(rng.uniform(0.0, 10.0)), d, d_u)
         v = tab.ValueTable(rng.normal(0.0, 5.0, size=s))
         via_operator = cons.csve_operator(v, policy, mdp, penalty)
-        via_argmin = cons.csve_objective_argmin(v, policy, mdp, penalty, method="grid")
+        via_argmin = cons.csve_objective_argmin(v, policy, mdp, penalty)
         gap = float(abs(via_operator.values - via_argmin.values).max())
         rows.append(_row("operator_equivalence", seed, penalty.alpha, 0.0, gap, 1e-9,
                          gap <= 1e-9))
     return rows
 
 
-def run_lower_bound_d_trials(trials: int, seed0: int = 0, zero_error: bool = False,
-                             alpha_scale: float = 1.1, dataset_size: int = 500,
-                             num_states: int = 8, num_actions: int = 3,
-                             discount: float = 0.8) -> list[dict]:
-    """Expected lower bound under the sampling distribution d."""
+def run_lower_bound_d_trials(trials: int, seed0: int = 0,
+                             zero_error: bool = False) -> list[dict]:
+    """Expected lower bound under the sampling distribution d, at alpha = 1
+    on the zero-error instances and at ALPHA_SCALE times the threshold on
+    the others."""
     rows = []
     for seed in range(seed0, seed0 + trials):
-        inst = make_instance(seed, num_states, num_actions, discount,
-                             dataset_size, zero_error=zero_error)
-        probe = cons.CsvePenaltyConfig(0.0, inst.d, inst.d_u)
+        inst = make_instance(seed, zero_error=zero_error)
         if zero_error:
             alpha = 1.0
             threshold = 0.0
         else:
+            probe = cons.CsvePenaltyConfig(0.0, inst.d, inst.d_u)
             threshold = cons.alpha_threshold(inst.mdp, inst.empirical, inst.policy,
                                              probe, inst.dataset, inst.sem)
-            alpha = alpha_scale * threshold
+            alpha = ALPHA_SCALE * threshold
         penalty = cons.CsvePenaltyConfig(alpha, inst.d, inst.d_u)
         report = cons.certify_lower_bound_under_d(inst.mdp, inst.empirical, inst.policy,
-                                                  penalty, inst.dataset, inst.sem)
+                                                  penalty)
         rows.append(_row("value_lower_bound_d", seed, alpha, threshold,
                          report.lhs, report.rhs, report.holds))
     return rows
 
 
-def run_lower_bound_data_trials(trials: int, seed0: int = 0, alpha: float = 1.0,
-                                dataset_size: int = 500) -> list[dict]:
-    """Lower bound under the data marginal plus the irreducible error term."""
-    rows = []
-    for seed in range(seed0, seed0 + trials):
-        inst = make_instance(seed, dataset_size=dataset_size)
-        penalty = cons.CsvePenaltyConfig(alpha, inst.d, inst.d_u)
-        report = cons.certify_lower_bound_under_data(inst.mdp, inst.empirical,
-                                                     inst.policy, penalty,
-                                                     inst.dataset, inst.sem)
-        rows.append(_row("value_lower_bound_data", seed, alpha, 0.0,
-                         report.lhs, report.rhs, report.holds))
-    return rows
-
-
-def run_gap_expansion_trials(trials: int, seed0: int = 0, k: int = 5,
-                             alpha: float = 1.0) -> list[dict]:
-    """Gap expansion at iteration k.  The penalized iterates are linear in
-    alpha, so the internally derived threshold scales with alpha too; the
-    certification then holds for every positive alpha or for none, and the
-    margin-guarded instances keep it on the positive side."""
+def run_lower_bound_data_trials(trials: int, seed0: int = 0) -> list[dict]:
+    """Lower bound under the data marginal plus the irreducible error term,
+    at alpha = 1."""
     rows = []
     for seed in range(seed0, seed0 + trials):
         inst = make_instance(seed)
-        penalty = cons.CsvePenaltyConfig(alpha, inst.d, inst.d_u)
-        report = cons.certify_gap_expansion(inst.mdp, inst.empirical, inst.policy,
-                                            penalty, k)
-        rows.append(_row("gap_expansion", seed, alpha, report.alpha_threshold,
+        penalty = cons.CsvePenaltyConfig(1.0, inst.d, inst.d_u)
+        report = cons.certify_lower_bound_under_data(inst.mdp, inst.empirical,
+                                                     inst.policy, penalty,
+                                                     inst.dataset, inst.sem)
+        rows.append(_row("value_lower_bound_data", seed, 1.0, 0.0,
                          report.lhs, report.rhs, report.holds))
     return rows
 
 
-def run_argmax_consistency_trials(trials: int, seed0: int = 0, num_states: int = 4,
-                                  num_actions: int = 3, alpha: float = 1.0) -> list[dict]:
-    """Exhaustive deterministic-policy argmax of the penalized objective against
-    the greedy policy of conservative value iteration.  All A^S policies go
-    through one ``penalized_objectives`` call; a deterministic policy's P_pi
-    is ``P[states, actions]``, the one-hot einsum's bits."""
+def run_gap_expansion_trials(trials: int, seed0: int = 0) -> list[dict]:
+    """Gap expansion at iteration GAP_ITERATIONS, at alpha = 1.  The
+    penalized iterates are linear in alpha, so the internally derived
+    threshold scales with alpha too; the certification then holds for every
+    positive alpha or for none, and the margin-guarded instances keep it on
+    the positive side."""
+    rows = []
+    for seed in range(seed0, seed0 + trials):
+        inst = make_instance(seed)
+        penalty = cons.CsvePenaltyConfig(1.0, inst.d, inst.d_u)
+        report = cons.certify_gap_expansion(inst.mdp, inst.empirical, inst.policy,
+                                            penalty, GAP_ITERATIONS)
+        rows.append(_row("gap_expansion", seed, 1.0, report.alpha_threshold,
+                         report.lhs, report.rhs, report.holds))
+    return rows
+
+
+def run_argmax_consistency_trials(trials: int, seed0: int = 0) -> list[dict]:
+    """Exhaustive deterministic-policy argmax of the penalized objective at
+    alpha = 1 against the greedy policy of conservative value iteration, on
+    4 states and 3 actions.  All A^S policies go through one
+    ``penalized_objectives`` call; a deterministic policy's P_pi is
+    ``P[states, actions]``, the one-hot einsum's bits."""
+    num_states, num_actions = 4, 3
     # every deterministic policy: policy c takes action (c // A**s) % A in state s
     states = np.arange(num_states)
     actions = np.arange(num_actions ** num_states)[:, None] // num_actions ** states % num_actions
@@ -225,22 +226,22 @@ def run_argmax_consistency_trials(trials: int, seed0: int = 0, num_states: int =
         rng = np.random.default_rng(seed)
         mdp = tab.random_mdp(num_states, num_actions, float(rng.uniform(0.5, 0.95)), rng)
         d_u = tab.StateDistribution(rng.dirichlet(np.ones(num_states)))
-        d = tab.random_distribution(num_states, rng, support=d_u.support)
-        penalty = cons.CsvePenaltyConfig(alpha, d, d_u)
+        d = tab.random_distribution(num_states, rng, d_u.support)
+        penalty = cons.CsvePenaltyConfig(1.0, d, d_u)
         best_value = float(cons.penalized_objectives(
             mdp.transition[states, actions], mdp.reward[states, actions], mdp, penalty).max())
         _, greedy = cons.conservative_value_iteration(mdp, penalty)
         greedy_value = cons.penalized_objective(greedy, mdp, penalty)
-        rows.append(_row("argmax_consistency", seed, alpha, 0.0, best_value,
+        rows.append(_row("argmax_consistency", seed, 1.0, 0.0, best_value,
                          greedy_value, best_value <= greedy_value + 1e-9))
     return rows
 
 
-def run_safe_improvement_trials(trials: int, seed0: int = 0,
-                                dataset_size: int = 2000) -> list[dict]:
-    """Safe-improvement inequality on gridworld instances: behavior is a
-    mid-quality epsilon-greedy policy, the candidate is the conservative-greedy
-    policy of the empirical MDP."""
+def run_safe_improvement_trials(trials: int, seed0: int = 0) -> list[dict]:
+    """Safe-improvement inequality on gridworld instances with
+    SAFE_IMPROVEMENT_SIZE transitions each: behavior is a mid-quality
+    epsilon-greedy policy, the candidate is the conservative-greedy policy
+    of the empirical MDP."""
     from .envs import GridWorld
 
     rows = []
@@ -249,9 +250,9 @@ def run_safe_improvement_trials(trials: int, seed0: int = 0,
         env = GridWorld(slip=float(rng.uniform(0.05, 0.2)))
         mdp = env.tabular_mdp(discount=0.95)
         behavior = env.epsilon_greedy_table(mdp, epsilon=float(rng.uniform(0.3, 0.6)))
-        dataset = _rollout_tabular_dataset(env, mdp, behavior, dataset_size, rng)
+        dataset = _rollout_tabular_dataset(env, mdp, behavior, SAFE_IMPROVEMENT_SIZE, rng)
         empirical = tab.empirical_mdp(dataset, mdp)
-        sem = cons.calibrate_sampling_error_model(mdp.num_states, mdp.discount, mdp.r_max)
+        sem = cons.calibrate_sampling_error_model(mdp.num_states, mdp.discount)
         d_u = tab.dataset_state_marginal(dataset, mdp.num_states)
         tilt = d_u.probs ** 2
         d = tab.StateDistribution(tilt / tilt.sum())
@@ -299,22 +300,23 @@ def _rollout_tabular_dataset(env, mdp: tab.TabularMdp, behavior: tab.PolicyTable
                                           mdp.num_states, mdp.num_actions)
 
 
-def run_interpolation_trials(trials: int, seed0: int = 0,
-                             f_grid=(0.0, 0.25, 0.5, 0.75, 1.0)) -> list[dict]:
-    """Nonnegativity of the interpolation functional over random pairs."""
+def run_interpolation_trials(trials: int, seed0: int = 0) -> list[dict]:
+    """Nonnegativity of the interpolation functional over random pairs, at
+    each factor of INTERPOLATION_GRID."""
     rows = []
     for seed in range(seed0, seed0 + trials):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 16))
         rho = tab.StateDistribution(rng.dirichlet(np.ones(n)))
         d = tab.StateDistribution(rng.dirichlet(np.ones(n)))
-        for f in f_grid:
-            report = cons.certify_interpolation(rho, d, float(f))
-            rows.append(_row("interpolation", seed, float(f), 0.0, report.lhs,
+        for f in INTERPOLATION_GRID:
+            report = cons.certify_interpolation(rho, d, f)
+            rows.append(_row("interpolation", seed, f, 0.0, report.lhs,
                              report.rhs, report.holds))
     return rows
 
 
+# Lambdas look each runner up when called, so a wrapper patched onto theory is what runs.
 SUITES = {
     "contraction": lambda trials, seed0: run_contraction_trials(trials, seed0),
     "operator_equivalence": lambda trials, seed0: run_operator_equivalence_trials(trials, seed0),

@@ -98,7 +98,7 @@ def test_criterion_2_objective_operator_equivalence():
 def test_criterion_3_lower_bound_under_d():
     start = time.time()
     exact_rows = theory.run_lower_bound_d_trials(200, seed0=0, zero_error=True)
-    finite_rows = theory.run_lower_bound_d_trials(200, seed0=0, alpha_scale=1.1)
+    finite_rows = theory.run_lower_bound_d_trials(200, seed0=0)  # alpha = 1.1 x threshold
     elapsed = time.time() - start
     exact_rate = pass_rate(exact_rows)
     finite_rate = pass_rate(finite_rows)

@@ -269,12 +269,13 @@ def test_penalized_regression_one_hot_optimum_is_the_tabular_one(weight):
     penalty = cons.CsvePenaltyConfig(alpha / (2 * weight), d, d_u)
     optimum = targets - alpha / (2 * weight) * penalty.bracket()
 
-    # one action whose reward is the target: the backup of V = 0 is the target
+    # one action whose reward is the target: the backup of V = 0 is the target,
+    # and the penalized iterate of V = 0 is the objective's argmin
     mdp = tab.TabularMdp(np.full((4, 1, 4), 0.25), targets[:, None], np.full(4, 0.25),
                          0.9, 2.0)
-    argmin = cons.csve_objective_argmin(tab.ValueTable(np.zeros(4)),
-                                        tab.PolicyTable(np.ones((4, 1))), mdp, penalty)
-    assert np.allclose(argmin.values, optimum, rtol=0.0, atol=1e-14)
+    iterate = cons.csve_operator(tab.ValueTable(np.zeros(4)),
+                                 tab.PolicyTable(np.ones((4, 1))), mdp, penalty)
+    assert np.allclose(iterate.values, optimum, rtol=0.0, atol=1e-14)
 
     rows, ood_rows = np.repeat(np.arange(4), counts_u), np.repeat(np.arange(4), counts_d)
     net = nn.Mlp([4, 1], [optimum[:, None], np.zeros(1)])

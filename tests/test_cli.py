@@ -54,6 +54,14 @@ def test_gen_data_requires_env(tmp_path):
                 "--out", tmp_path / "x"]) == 2
 
 
+def test_gen_data_of_one_medium_expert_row_is_the_expert_half(tmp_path):
+    assert run(["gen-data", "--env", "gridworld", "--tier", "medium_expert",
+                "--size", 1, "--seed", 0, "--out", tmp_path / "d"]) == 0
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+    assert meta["size"] == 1
+    assert meta["composition"] == {"expert": 1}
+
+
 # ---------------------------------------------------------------------------
 # train-dynamics
 # ---------------------------------------------------------------------------
@@ -251,7 +259,8 @@ def test_model_of_other_dims_is_config_error(workspace, tmp_path, capsys):
 
 def test_baseline_manifests_record_the_settings_they_trained_with(workspace, tmp_path):
     _, data_dir, model_dir = workspace
-    fixed = {"awac": dict(adaptive_alpha=False, alpha_init=0.0, lambda_explore=0.0),
+    fixed = {"csve_noise": dict(ood_variant="gaussian_noise"),
+             "awac": dict(adaptive_alpha=False, alpha_init=0.0, lambda_explore=0.0),
              "cql_awr": dict(adaptive_alpha=False)}
     for algorithm, settings in fixed.items():
         out = tmp_path / algorithm
@@ -262,7 +271,8 @@ def test_baseline_manifests_record_the_settings_they_trained_with(workspace, tmp
         manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
         hp = manifest["hyper_params"]
         assert {name: hp[name] for name in settings} == settings
-        assert manifest["alpha"] == hp["alpha_init"]  # alpha never moved
+        if not hp["adaptive_alpha"]:
+            assert manifest["alpha"] == hp["alpha_init"]  # alpha never moved
         assert hp["lambda_explore"] == settings.get("lambda_explore", 0.2)
         assert "\n2," in (out / "metrics.csv").read_text()
 
@@ -871,6 +881,21 @@ def test_a_seed_entry_seeds_the_run(tmp_path):
     assert theory_seeds(tmp_path / "a") == ["9", "10", "11"]
     assert run(["verify-theory", "--config", config, "--seed", 4, "--out", tmp_path / "b"]) == 0
     assert theory_seeds(tmp_path / "b") == ["4", "5", "6"]
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 9\n",
+                                  "[DEFAULT]\ndata = x\n[verify-theory]\ntrials = 2\n"])
+def test_a_default_entry_is_one_line_config_error(tmp_path, capsys, text):
+    config = tmp_path / "c.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["verify-theory", "--suite", "argmax_consistency", "--trials", 1,
+                "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"config error: config file {str(config)!r} has "
+                                       "entries under [DEFAULT]; put each in its "
+                                       "command's section\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, entry", [("verify-theory", "trails = 2"),

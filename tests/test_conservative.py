@@ -94,7 +94,7 @@ def test_argmin_matches_operator_alpha_zero():
     penalty = cons.CsvePenaltyConfig(0.0, dist(0.8, 0.2), dist(0.5, 0.5))
     v = tab.ValueTable(np.array([0.5, 1.5]))
     op = cons.csve_operator(v, policy, mdp, penalty)
-    am = cons.csve_objective_argmin(v, policy, mdp, penalty, method="exact")
+    am = cons.csve_objective_argmin(v, policy, mdp, penalty)
     assert np.allclose(op.values, am.values, atol=1e-12)
 
 
@@ -102,9 +102,8 @@ def test_argmin_two_state_scalar_quadratic():
     mdp, policy, penalty = two_state_instance(alpha=1.0)
     v = tab.ValueTable(np.zeros(2))
     op = cons.csve_operator(v, policy, mdp, penalty)
-    for method in ("exact", "grid"):
-        am = cons.csve_objective_argmin(v, policy, mdp, penalty, method=method)
-        assert np.allclose(op.values, am.values, atol=1e-9)
+    am = cons.csve_objective_argmin(v, policy, mdp, penalty)
+    assert np.allclose(op.values, am.values, atol=1e-9)
 
 
 def test_argmin_eight_state_golden_section_oracle():
@@ -116,7 +115,7 @@ def test_argmin_eight_state_golden_section_oracle():
     penalty = cons.CsvePenaltyConfig(2.5, d, d_u)
     v = tab.ValueTable(rng.normal(0.0, 3.0, size=8))
     op = cons.csve_operator(v, policy, mdp, penalty)
-    am = cons.csve_objective_argmin(v, policy, mdp, penalty, method="grid")
+    am = cons.csve_objective_argmin(v, policy, mdp, penalty)
     assert np.max(np.abs(op.values - am.values)) <= 1e-9
 
     # test-side oracle: golden-section search plus one parabolic polish,
@@ -439,8 +438,7 @@ def test_alpha_threshold_degenerate_distribution():
 def test_lower_bound_holds_with_zero_sampling_error():
     inst = theory.make_instance(5, zero_error=True)
     penalty = cons.CsvePenaltyConfig(1.0, inst.d, inst.d_u)
-    report = cons.certify_lower_bound_under_d(inst.mdp, inst.mdp, inst.policy,
-                                              penalty, inst.dataset, inst.sem)
+    report = cons.certify_lower_bound_under_d(inst.mdp, inst.mdp, inst.policy, penalty)
     assert report.holds and report.lhs <= report.rhs + 1e-9
 
 
@@ -450,8 +448,7 @@ def test_lower_bound_violation_findable_at_alpha_zero():
         inst = theory.make_instance(seed, dataset_size=25)
         penalty = cons.CsvePenaltyConfig(0.0, inst.d, inst.d_u)
         report = cons.certify_lower_bound_under_d(inst.mdp, inst.empirical,
-                                                  inst.policy, penalty,
-                                                  inst.dataset, inst.sem)
+                                                  inst.policy, penalty)
         if not report.holds:
             violated = True
             assert report.lhs > report.rhs
@@ -742,7 +739,7 @@ def test_interpolation_trivial_and_random():
 
 
 def test_calibration_combined_constant_dominates():
-    sem = cons.calibrate_sampling_error_model(8, 0.8, 1.0)
+    sem = cons.calibrate_sampling_error_model(8, 0.8)
     assert sem.c_rt >= sem.c_r
     assert sem.c_p > 0
     # combined constant reproduces the backup-error rescaling

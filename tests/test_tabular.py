@@ -298,7 +298,6 @@ def test_occupancy_single_state():
                          0.7, 1.0)
     d = tab.discounted_state_occupancy(mdp, single_policy(1))
     assert d.probs.tolist() == [1.0]
-    assert d.kind == "discounted_occupancy"
 
 
 def test_occupancy_two_state_chain():
@@ -375,7 +374,7 @@ def test_empirical_transition_concentration():
     hat = tab.empirical_mdp(ds, mdp)
     from csve.conservative import calibrate_sampling_error_model
 
-    sem = calibrate_sampling_error_model(6, 0.9, 1.0, delta=0.05)
+    sem = calibrate_sampling_error_model(6, 0.9)
     visited = ds.count_sa > 0
     l1 = np.abs(hat.transition - mdp.transition).sum(axis=2)
     bound = sem.c_p / np.sqrt(np.maximum(ds.count_sa, 1))
@@ -387,12 +386,10 @@ def test_empirical_transition_concentration():
 # Samplers against the per-draw rng.choice loops they replace
 # ---------------------------------------------------------------------------
 
-def reference_sample_dataset(mdp, behavior, size, rng, state_dist=None):
+def reference_sample_dataset(mdp, behavior, size, rng):
     """Two rng.choice calls per transition, in a Python loop."""
     s_dim, a_dim = mdp.num_states, mdp.num_actions
-    if state_dist is None:
-        state_dist = np.full(s_dim, 1.0 / s_dim)
-    states = rng.choice(s_dim, size=size, p=state_dist)
+    states = rng.choice(s_dim, size=size, p=np.full(s_dim, 1.0 / s_dim))
     actions = np.empty(size, dtype=np.int64)
     next_states = np.empty(size, dtype=np.int64)
     for i, s in enumerate(states):
@@ -447,13 +444,12 @@ def test_sample_dataset_matches_choice_loop(num_actions, size):
                              rng.uniform(-1.0, 1.0, size=(s_dim, num_actions)),
                              rng.dirichlet(np.ones(s_dim)), 0.9, 1.0)
         behavior = tab.PolicyTable(sparse_rows(rng, (s_dim, num_actions)))
-        state_dist = None if seed % 2 else sparse_rows(rng, (s_dim,))
         assert behavior.probs[:, 0].max() == (1.0 if num_actions == 1 else 0.0)
         assert mdp.transition[..., 0].max() == 0.0
 
         fast_rng, slow_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
-        got = tab.sample_dataset(mdp, behavior, size, fast_rng, state_dist)
-        want = reference_sample_dataset(mdp, behavior, size, slow_rng, state_dist)
+        got = tab.sample_dataset(mdp, behavior, size, fast_rng)
+        want = reference_sample_dataset(mdp, behavior, size, slow_rng)
         assert got.num_transitions == size
         assert_same_dataset(got, want)
         assert fast_rng.random() == slow_rng.random()
@@ -501,7 +497,6 @@ def test_marginal_trivial_cases():
     ds = tab.TabularDataset.from_transitions([(0, 0, 0.0, 1)] * 3, 3, 1)
     d = tab.dataset_state_marginal(ds, 3)
     assert d.probs.tolist() == [1.0, 0.0, 0.0]
-    assert d.kind == "empirical_marginal"
 
     rows = [(0, 0, 0.0, 1)] * 3 + [(1, 0, 0.0, 0)]
     d = tab.dataset_state_marginal(tab.TabularDataset.from_transitions(rows, 2, 1), 2)

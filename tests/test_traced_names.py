@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from csve import agent, data, dynamics, envs, nn
+from csve import agent, cli, data, dynamics, envs, nn
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -51,3 +51,22 @@ def test_every_traced_name_exists_and_reads_what_it_expects():
     x = np.random.default_rng(2).normal(size=(5, 3))
     _, cache = nn.Mlp.init([3, 4, 1], np.random.default_rng(3)).forward_cache(x)
     assert cache[0][0] is x
+
+
+def test_the_tracer_sees_every_suite_of_a_cli_run(tmp_path):
+    """``theory.SUITES`` looks each runner up when it runs, so the wrappers
+    the tracer patches onto ``theory`` are the ones ``verify-theory`` calls."""
+    spans = load_spans()
+    modules = {name: importlib.import_module(f"csve.{name}") for name in spans.LAYERS}
+    tracer = spans.Tracer()
+    try:
+        assert tracer.install(modules) == []
+        tracer.stage = "certify"
+        assert cli.main(["verify-theory", "--trials", "1", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    stage = ["certify"]
+    for name in (*spans.SUITE_RUNNERS.values(), "theory.run_lower_bound_d_trials"):
+        assert tracer.calls(stage, name) >= 1, name
+    for suite in ("value_lower_bound_d_exact", "value_lower_bound_d"):
+        assert tracer.count(stage, f"theory.{suite}_s") > 0, suite
